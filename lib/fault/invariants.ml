@@ -52,16 +52,24 @@ let check_ownership cluster =
       states
   in
   (* Single ownership means exactly one state per catalog name: no
-     name missing (silently gone), no name twice (two owners). *)
+     name missing (silently gone), no name twice (two owners).  The
+     placed names go into a hash set once, probed in catalog order. *)
   let names = List.map fst states in
+  let present = Hashtbl.create (List.length names) in
+  List.iter (fun n -> Hashtbl.replace present n ()) names;
   let catalog = Sharedfs.File_set.Catalog.names (Cluster.catalog cluster) in
   let missing =
     List.filter_map
       (fun n ->
-        if List.mem n names then None
+        if Hashtbl.mem present n then None
         else Some (Printf.sprintf "file set %s has no placement state" n))
       catalog
   in
+  (* Cannot fire today: [ownership_states] reports one state per slot
+     of the cluster's ownership array, which is indexed by interned
+     file-set id, and the interner maps the catalog's distinct names
+     one-to-one onto ids.  Kept as the guard should that
+     representation change. *)
   let rec dups = function
     | a :: (b :: _ as rest) ->
       if String.equal a b then

@@ -164,6 +164,8 @@ type t = {
          [set_stream_sink] so the streaming path never hashes an id *)
   mutable stream_sink : (fs:int -> latency:float -> unit) option;
   ownership : ownership array;  (* indexed by interned file-set id *)
+  name_order : int array Lazy.t;
+      (* interned ids sorted by name, for the name-sorted audits *)
   inflight : (int, buffered) Hashtbl.t;
   locking : locking;  (* per-file-set lock domains; possibly shared *)
   mutable lock_stats : lock_stats;
@@ -254,6 +256,12 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
       stream_sink = None;
       ownership =
         Array.make (max 1 (File_set.Interner.size interner)) Unassigned;
+      name_order =
+        lazy
+          (let name = File_set.Interner.name interner in
+           let order = Array.init (File_set.Interner.size interner) Fun.id in
+           Array.sort (fun a b -> String.compare (name a) (name b)) order;
+           order);
       inflight = Hashtbl.create 1024;
       locking =
         (match locking with
@@ -1359,23 +1367,21 @@ let pending_requests t =
     0 t.ownership
 
 let ownership_states t =
+  let order = Lazy.force t.name_order in
   let acc = ref [] in
-  Array.iteri
-    (fun fs o ->
-      let state =
-        match o with
-        | Unassigned -> None
-        | Owned id -> Some (State_owned id)
-        | Moving { src; dst; pending; _ } ->
-          Some (State_moving { src; dst; buffered = Queue.length pending })
-        | Orphaned pending ->
-          Some (State_orphaned { buffered = Queue.length pending })
-      in
-      match state with
-      | Some s -> acc := (fs_name t fs, s) :: !acc
-      | None -> ())
-    t.ownership;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+  for i = Array.length order - 1 downto 0 do
+    let fs = order.(i) in
+    match t.ownership.(fs) with
+    | Unassigned -> ()
+    | Owned id -> acc := (fs_name t fs, State_owned id) :: !acc
+    | Moving { src; dst; pending; _ } ->
+      let buffered = Queue.length pending in
+      acc := (fs_name t fs, State_moving { src; dst; buffered }) :: !acc
+    | Orphaned pending ->
+      let buffered = Queue.length pending in
+      acc := (fs_name t fs, State_orphaned { buffered }) :: !acc
+  done;
+  !acc
 
 let conservation t =
   {
@@ -1408,18 +1414,30 @@ let memory_state_str = function
       (Server_id.to_int dst)
   | State_orphaned _ -> "orphaned"
 
+(* The structural form of comparing the two renderings above: the
+   strings are built only for divergence messages. *)
 let states_agree ledger_state memory_state =
-  String.equal (ledger_state_str ledger_state)
-    (memory_state_str memory_state)
+  match (ledger_state, memory_state) with
+  | Ledger.Owned o, State_owned id -> o = Server_id.to_int id
+  | Ledger.Pending { src; dst }, State_moving { src = msrc; dst = mdst; _ }
+    -> (
+    dst = Server_id.to_int mdst
+    &&
+    match (src, msrc) with
+    | None, None -> true
+    | Some s, Some m -> s = Server_id.to_int m
+    | None, Some _ | Some _, None -> false)
+  | Ledger.Orphaned_fs, State_orphaned _ -> true
+  | (Ledger.Owned _ | Ledger.Pending _ | Ledger.Orphaned_fs), _ -> false
 
 let fsck ?(repair = true) t =
-  let rep = Ledger.replay t.disk in
+  let rep = Ledger.audit t.ledger in
   let torn_found = List.length rep.Ledger.torn_seqs in
   let torn_repaired =
     if repair && torn_found > 0 then Ledger.repair t.ledger else 0
   in
   (* Re-scan after a repair so the audit sees the healed log. *)
-  let rep = if torn_repaired > 0 then Ledger.replay t.disk else rep in
+  let rep = if torn_repaired > 0 then Ledger.audit t.ledger else rep in
   let memory = ownership_states t in
   let divergence name ls ms =
     Printf.sprintf "%s: ledger says %s, memory says %s" name

@@ -387,10 +387,13 @@ val ledger : t -> Ledger.t
 val set_on_torn : t -> (seq:int -> unit) -> unit
 
 (** [fsck ?repair t] audits the ledger against in-memory ownership:
-    replays the log, repairs torn records (when [repair], the default)
-    and re-replays, then merge-joins the folded ledger state with
-    {!ownership_states}.  Bumps [ledger.replays] / [ledger.repaired]
-    and emits one [Ledger_replay] trace event. *)
+    replays the log through {!Ledger.audit} (memoised on {!ledger}, so
+    a call decodes only the records that changed since the last one,
+    while reading every block as a plain replay does), repairs torn
+    records (when [repair], the default) and re-replays, then
+    merge-joins the folded ledger state with {!ownership_states}.
+    Bumps [ledger.replays] / [ledger.repaired] and emits one
+    [Ledger_replay] trace event. *)
 val fsck : ?repair:bool -> t -> fsck_report
 
 (** [add_server t id ~speed] commissions a new, empty server. *)

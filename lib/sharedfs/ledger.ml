@@ -23,6 +23,20 @@ type replay = {
   next_seq : int;
 }
 
+module Names = Map.Make (String)
+
+(* The scan's memory of what it read: [raw.(seq)] is the block string
+   last decoded for record [seq], [dec.(seq)] what it decoded to, and
+   [fold] the ownership fold over every record of [last], the result
+   of the last scan. *)
+type memo = {
+  mutable raw : string array;
+  mutable dec : [ `Ok of record | `Torn ] array;
+  mutable fold : fs_state Names.t;
+  mutable last : replay;
+  mutable decoded : int;
+}
+
 type t = {
   disk : Shared_disk.t;
   mirror : (int, record) Hashtbl.t;  (* seq -> record, for torn repair *)
@@ -32,6 +46,7 @@ type t = {
   mutable torn_armed : int list;  (* 0-based append indices, sorted *)
   mutable torn_done : int;
   mutable on_torn : (seq:int -> unit) option;
+  mutable memo : memo option;  (* allocated by the first [audit] *)
 }
 
 (* Blocks -1 .. -15 are control blocks (the delegate lease sits at
@@ -153,44 +168,97 @@ let pp_record ppf r =
 
 (* --- replay --- *)
 
-let fold_ownership records =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      match (r.phase, r.op) with
-      | Commit, Assign { file_set; owner } ->
-        Hashtbl.replace tbl file_set (Owned owner)
-      | Intent, Move { file_set; src; dst } ->
-        Hashtbl.replace tbl file_set (Pending { src; dst })
-      | Commit, Move { file_set; src = _; dst } ->
-        Hashtbl.replace tbl file_set (Owned dst)
-      | Commit, Orphan { file_set } ->
-        Hashtbl.replace tbl file_set Orphaned_fs
-      | Intent, (Assign _ | Orphan _ | Member _ | Epoch _ | Noop)
-      | Commit, (Member _ | Epoch _ | Noop) ->
-        ())
-    records;
-  Hashtbl.fold (fun name state acc -> (name, state) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let replay disk =
-  let rec scan seq records torn =
-    match fst (Shared_disk.read disk ~block:(block_of_seq seq)) with
-    | None -> (seq, List.rev records, List.rev torn)
-    | Some data -> (
-      match decode data with
-      | `Ok r -> scan (seq + 1) (r :: records) torn
-      | `Torn -> scan (seq + 1) records (seq :: torn))
-  in
-  let next_seq, records, torn_seqs = scan 0 [] [] in
+let empty_replay =
   {
-    records;
-    torn_seqs;
-    ownership = fold_ownership records;
-    max_epoch =
-      List.fold_left (fun acc (r : record) -> max acc r.epoch) 0 records;
-    next_seq;
+    records = [];
+    torn_seqs = [];
+    ownership = [];
+    max_epoch = 0;
+    next_seq = 0;
   }
+
+let fresh_memo () =
+  {
+    raw = Array.make 64 "";
+    dec = Array.make 64 `Torn;
+    fold = Names.empty;
+    last = empty_replay;
+    decoded = 0;
+  }
+
+let fold_record own r =
+  match (r.phase, r.op) with
+  | Commit, Assign { file_set; owner } -> Names.add file_set (Owned owner) own
+  | Intent, Move { file_set; src; dst } ->
+    Names.add file_set (Pending { src; dst }) own
+  | Commit, Move { file_set; src = _; dst } ->
+    Names.add file_set (Owned dst) own
+  | Commit, Orphan { file_set } -> Names.add file_set Orphaned_fs own
+  | Intent, (Assign _ | Orphan _ | Member _ | Epoch _ | Noop)
+  | Commit, (Member _ | Epoch _ | Noop) ->
+    own
+
+(* The one scan.  Every block is read through [Shared_disk.read] from
+   seq 0 to the first absent block, so disk traffic never depends on
+   the memo.  A block is decoded only when its string is not
+   physically the one decoded last time: strings are immutable and
+   every disk mutation stores a fresh one, so [==] on the stored
+   string is an exact "unchanged" test.  When only new blocks appeared
+   past the last scan's end, they are folded onto the retained fold;
+   when any earlier block changed, the whole log is refolded from the
+   (mostly cached) decodes.  An unchanged log returns the last result
+   itself. *)
+let scan m disk =
+  let audited = m.last.next_seq in
+  let rec read seq changed =
+    match fst (Shared_disk.read disk ~block:(block_of_seq seq)) with
+    | None -> (seq, changed)
+    | Some data ->
+      if seq < audited && data == m.raw.(seq) then read (seq + 1) changed
+      else begin
+        if seq = Array.length m.raw then begin
+          m.raw <- Array.append m.raw (Array.make seq "");
+          m.dec <- Array.append m.dec (Array.make seq `Torn)
+        end;
+        m.raw.(seq) <- data;
+        m.dec.(seq) <- decode data;
+        m.decoded <- m.decoded + 1;
+        read (seq + 1) (changed || seq < audited)
+      end
+  in
+  let next_seq, changed = read 0 false in
+  (* Fold records [from, next_seq) onto [base] and its fold [own]. *)
+  let extend base own from =
+    let own = ref own and max_epoch = ref base.max_epoch in
+    for seq = from to next_seq - 1 do
+      match m.dec.(seq) with
+      | `Ok r ->
+        own := fold_record !own r;
+        max_epoch := max !max_epoch r.epoch
+      | `Torn -> ()
+    done;
+    let records = ref [] and torn = ref [] in
+    for seq = next_seq - 1 downto from do
+      match m.dec.(seq) with
+      | `Ok r -> records := r :: !records
+      | `Torn -> torn := seq :: !torn
+    done;
+    m.fold <- !own;
+    m.last <-
+      {
+        records = base.records @ !records;
+        torn_seqs = base.torn_seqs @ !torn;
+        ownership = Names.bindings !own;
+        max_epoch = !max_epoch;
+        next_seq;
+      };
+    m.last
+  in
+  if changed || next_seq < audited then extend empty_replay Names.empty 0
+  else if next_seq = audited then m.last
+  else extend m.last m.fold audited
+
+let replay disk = scan (fresh_memo ()) disk
 
 let recovered_assignment rep =
   let owned, orphaned =
@@ -221,6 +289,7 @@ let attach disk =
     torn_armed = [];
     torn_done = 0;
     on_torn = None;
+    memo = None;
   }
 
 let disk t = t.disk
@@ -283,8 +352,21 @@ let append t ?writer phase op =
     `Appended seq
   end
 
+let audit t =
+  let m =
+    match t.memo with
+    | Some m -> m
+    | None ->
+      let m = fresh_memo () in
+      t.memo <- Some m;
+      m
+  in
+  scan m t.disk
+
+let decoded t = match t.memo with None -> 0 | Some m -> m.decoded
+
 let repair t =
-  let rep = replay t.disk in
+  let rep = audit t in
   List.fold_left
     (fun repaired seq ->
       let r =

@@ -119,10 +119,26 @@ val torn_writes : t -> int
     skipped.  Pure read: replaying twice equals replaying once. *)
 val replay : Shared_disk.t -> replay
 
-(** [repair t] re-scans the log and rewrites every torn record: from
-    the writer's mirror when the record was appended (or recovered at
-    {!attach}) through this handle, with a [Noop] tombstone otherwise.
-    Returns how many blocks were rewritten. *)
+(** [audit t] is {!replay} of [t]'s disk, memoised on the handle: the
+    same result and the same {!Shared_disk.blocks_read} traffic (every
+    block is still read), but a block is decoded only when its stored
+    string is not physically the one this handle decoded last time,
+    and an append-only change folds just the new records onto the
+    retained ownership fold.  Any change to an already-audited block
+    (a repair, a torn overwrite) refolds the whole log from the cached
+    decodes.  The memo is allocated by the first call. *)
+val audit : t -> replay
+
+(** [decoded t] counts records decoded (checksum plus parse) by
+    {!audit} and {!repair} through this handle — a deterministic work
+    counter: re-auditing an unchanged log decodes nothing, and
+    auditing after [k] appends decodes [k]. *)
+val decoded : t -> int
+
+(** [repair t] re-scans the log through {!audit} and rewrites every
+    torn record: from the writer's mirror when the record was appended
+    (or recovered at {!attach}) through this handle, with a [Noop]
+    tombstone otherwise.  Returns how many blocks were rewritten. *)
 val repair : t -> int
 
 (** [recovered_assignment replay] is the restart decision:

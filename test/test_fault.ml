@@ -517,6 +517,92 @@ let test_invariants_real_anu_clean () =
   check_int "fresh ANU cluster is healthy" 0
     (List.length (Fault.Invariants.check ~cluster ~policy:anu ()))
 
+(* Two invariants no healthy run trips, shown able to fire — with
+   their message text and order pinned. *)
+let whats vs = List.map (fun v -> v.Fault.Invariants.what) vs
+
+let test_invariants_missing_placement_fires () =
+  (* Catalog order is not name order: the messages follow the
+     catalog. *)
+  let _, cluster = make_cluster ~names:[ "d"; "c"; "b"; "a" ] () in
+  Cluster.assign_initial cluster [ ("c", Id.of_int 1) ];
+  Alcotest.(check (list string))
+    "never-assigned sets reported, in catalog order"
+    [
+      "file set d has no placement state";
+      "file set b has no placement state";
+      "file set a has no placement state";
+    ]
+    (whats (Fault.Invariants.check ~cluster ~policy:(fake_policy ()) ()))
+
+let test_invariants_ledger_divergence_fires () =
+  let _, cluster = make_cluster () in
+  Cluster.assign_initial cluster
+    [
+      ("a", Id.of_int 0); ("b", Id.of_int 1); ("c", Id.of_int 2);
+      ("d", Id.of_int 0);
+    ];
+  let policy = fake_policy () in
+  check_int "clean before tampering" 0
+    (List.length (Fault.Invariants.check ~cluster ~policy ()));
+  (* Behind the cluster's back: a committed move it never made, an
+     intent it never armed, an orphaning it never decided. *)
+  let rogue phase op =
+    match Ledger.append (Cluster.ledger cluster) phase op with
+    | `Appended _ -> ()
+    | `Fenced -> Alcotest.fail "trusted append fenced"
+  in
+  rogue Ledger.Commit (Ledger.Move { file_set = "c"; src = Some 2; dst = 1 });
+  rogue Ledger.Intent (Ledger.Move { file_set = "b"; src = None; dst = 0 });
+  rogue Ledger.Intent (Ledger.Move { file_set = "a"; src = Some 0; dst = 2 });
+  rogue Ledger.Commit (Ledger.Orphan { file_set = "d" });
+  let expected =
+    [
+      "ledger divergence: a: ledger says pending s0 -> s2, memory says \
+       owned by s0";
+      "ledger divergence: b: ledger says pending -> s0, memory says owned \
+       by s1";
+      "ledger divergence: c: ledger says owned by s1, memory says owned by \
+       s2";
+      "ledger divergence: d: ledger says orphaned, memory says owned by s0";
+    ]
+  in
+  Alcotest.(check (list string))
+    "every tampered set diverges, in name order" expected
+    (whats (Fault.Invariants.check ~cluster ~policy ()));
+  (* The second audit reads through the memo: same verdicts. *)
+  Alcotest.(check (list string))
+    "re-audit reports the same" expected
+    (whats (Fault.Invariants.check ~cluster ~policy ()))
+
+(* The full audit's ledger cost grows with what changed, not with the
+   log: an unchanged ledger decodes nothing, and a move that appended
+   k records decodes exactly k. *)
+let test_invariants_audit_decodes_only_new_records () =
+  let sim, cluster = make_cluster () in
+  Cluster.assign_initial cluster
+    [
+      ("a", Id.of_int 0); ("b", Id.of_int 1); ("c", Id.of_int 2);
+      ("d", Id.of_int 0);
+    ];
+  let ledger = Cluster.ledger cluster in
+  let policy = fake_policy () in
+  let audit () =
+    let before = Ledger.decoded ledger in
+    check_int "clean" 0
+      (List.length (Fault.Invariants.check ~cluster ~policy ()));
+    Ledger.decoded ledger - before
+  in
+  check_int "first audit decodes the whole log" (Ledger.appends ledger)
+    (audit ());
+  check_int "unchanged ledger decodes nothing" 0 (audit ());
+  let appended = Ledger.appends ledger in
+  Cluster.move cluster ~file_set:"a" ~dst:(Id.of_int 1);
+  Desim.Sim.run sim;
+  let k = Ledger.appends ledger - appended in
+  check_bool "the move journaled records" true (k > 0);
+  check_int "the move's records, and only those, decode" k (audit ())
+
 (* --- Runner integration: deterministic regressions --- *)
 
 let small_trace ~seed =
@@ -1151,6 +1237,12 @@ let suite =
       test_invariants_policy_self_check_and_extra;
     Alcotest.test_case "invariants: fresh ANU cluster healthy" `Quick
       test_invariants_real_anu_clean;
+    Alcotest.test_case "invariants: missing placement fires" `Quick
+      test_invariants_missing_placement_fires;
+    Alcotest.test_case "invariants: ledger divergence fires" `Quick
+      test_invariants_ledger_divergence_fires;
+    Alcotest.test_case "invariants: audit decodes only new records" `Quick
+      test_invariants_audit_decodes_only_new_records;
     Alcotest.test_case "runner: delegate crash mid-round" `Quick
       test_runner_delegate_crash_mid_round;
     Alcotest.test_case "runner: mid-move src crash survives" `Quick

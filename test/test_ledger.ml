@@ -332,6 +332,138 @@ let prop_double_torn_converges =
         QCheck.Test.fail_report "replay mutated the log";
       true)
 
+(* The memoised audit decodes only what changed: nothing for an
+   unchanged log, the new records after appends, and only the
+   rewritten block after an overwrite. *)
+let test_decoded_counts_only_changes () =
+  let disk = Shared_disk.create () in
+  let t = Ledger.attach disk in
+  let app name =
+    match
+      Ledger.append t Ledger.Commit (Ledger.Orphan { file_set = name })
+    with
+    | `Appended _ -> ()
+    | `Fenced -> Alcotest.fail "trusted append fenced"
+  in
+  check_int "nothing decoded before the first audit" 0 (Ledger.decoded t);
+  List.iter app [ "a"; "b"; "c" ];
+  let (_ : Ledger.replay) = Ledger.audit t in
+  check_int "first audit decodes the whole log" 3 (Ledger.decoded t);
+  let (_ : Ledger.replay) = Ledger.audit t in
+  check_int "unchanged log decodes nothing" 3 (Ledger.decoded t);
+  List.iter app [ "d"; "e" ];
+  let (_ : Ledger.replay) = Ledger.audit t in
+  check_int "two appends decode two" 5 (Ledger.decoded t);
+  let (_ : float) =
+    Shared_disk.write disk ~block:(Ledger.block_of_seq 1) "torn"
+  in
+  let rep = Ledger.audit t in
+  check_int "an overwrite decodes only that block" 6 (Ledger.decoded t);
+  check_bool "the overwrite is seen" true (rep.Ledger.torn_seqs = [ 1 ]);
+  check_bool "and the fold is redone" true (rep = Ledger.replay disk)
+
+type step =
+  | Append of Ledger.op * Ledger.phase
+  | Torn_append of Ledger.op * Ledger.phase
+  | Overwrite_torn of int * int
+      (** tear an already-audited block: (slot pick, prefix pick) *)
+  | Repair
+  | Attach
+
+let print_step = function
+  | Append _ -> "append"
+  | Torn_append _ -> "torn-append"
+  | Overwrite_torn (slot, keep) -> Printf.sprintf "overwrite(%d,%d)" slot keep
+  | Repair -> "repair"
+  | Attach -> "attach"
+
+let arb_steps =
+  QCheck.make
+    ~print:(fun steps -> String.concat "; " (List.map print_step steps))
+    QCheck.Gen.(
+      let phase = oneofl [ Ledger.Intent; Ledger.Commit ] in
+      list_size (int_range 1 25)
+        (frequency
+           [
+             (5, map2 (fun op ph -> Append (op, ph)) arb_op phase);
+             (2, map2 (fun op ph -> Torn_append (op, ph)) arb_op phase);
+             ( 2,
+               map2
+                 (fun slot keep -> Overwrite_torn (slot, keep))
+                 (int_bound 1000) (int_bound 1000) );
+             (1, return Repair);
+             (1, return Attach);
+           ]))
+
+(* qcheck: the memoised audit never goes stale.  After every step of
+   a random mix of appends, torn appends, torn overwrites of blocks
+   already audited, repairs and fresh attaches on the same disk, every
+   handle's [audit] equals [replay] of the disk image field for field
+   and reads exactly as many blocks. *)
+let prop_audit_matches_replay =
+  QCheck.Test.make ~count:200
+    ~name:"ledger: memoised audit equals replay after every disk change"
+    arb_steps
+    (fun steps ->
+      let disk = Shared_disk.create () in
+      let handles = ref [ Ledger.attach disk ] in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let check_handle i t =
+        let r0 = Shared_disk.blocks_read disk in
+        let a = Ledger.audit t in
+        let r1 = Shared_disk.blocks_read disk in
+        let p = Ledger.replay disk in
+        let r2 = Shared_disk.blocks_read disk in
+        if a.Ledger.records <> p.Ledger.records then
+          fail "handle %d: records" i;
+        if a.Ledger.torn_seqs <> p.Ledger.torn_seqs then
+          fail "handle %d: torn seqs" i;
+        if a.Ledger.ownership <> p.Ledger.ownership then
+          fail "handle %d: ownership" i;
+        if a.Ledger.max_epoch <> p.Ledger.max_epoch then
+          fail "handle %d: max epoch" i;
+        if a.Ledger.next_seq <> p.Ledger.next_seq then
+          fail "handle %d: next seq" i;
+        if r1 - r0 <> r2 - r1 then
+          fail "handle %d: audit read %d blocks, replay %d" i (r1 - r0)
+            (r2 - r1);
+        let d = Ledger.decoded t in
+        let (_ : Ledger.replay) = Ledger.audit t in
+        if Ledger.decoded t <> d then fail "handle %d: re-audit decoded" i
+      in
+      let append t phase op =
+        match Ledger.append t phase op with
+        | `Appended _ -> ()
+        | `Fenced -> fail "trusted append fenced"
+      in
+      List.iter
+        (fun step ->
+          let t = List.hd !handles in
+          (match step with
+          | Append (op, phase) -> append t phase op
+          | Torn_append (op, phase) ->
+            Ledger.arm_torn t ~nth:(Ledger.appends t);
+            append t phase op
+          | Overwrite_torn (slot, keep) -> (
+            let n = (Ledger.replay disk).Ledger.next_seq in
+            if n > 0 then
+              let block = Ledger.block_of_seq (slot mod n) in
+              match fst (Shared_disk.read disk ~block) with
+              | None -> ()
+              | Some data ->
+                let keep =
+                  if data = "" then 0 else keep mod String.length data
+                in
+                let (_ : float) =
+                  Shared_disk.write disk ~block (String.sub data 0 keep)
+                in
+                ())
+          | Repair -> ignore (Ledger.repair t : int)
+          | Attach -> handles := Ledger.attach disk :: !handles);
+          List.iteri check_handle !handles)
+        steps;
+      true)
+
 let suite =
   [
     Alcotest.test_case "codec: roundtrip" `Quick test_codec_roundtrip;
@@ -352,4 +484,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_replay_idempotent_and_repair_converges;
     QCheck_alcotest.to_alcotest prop_repair_idempotent;
     QCheck_alcotest.to_alcotest prop_double_torn_converges;
+    Alcotest.test_case "audit: decodes only what changed" `Quick
+      test_decoded_counts_only_changes;
+    QCheck_alcotest.to_alcotest prop_audit_matches_replay;
   ]
