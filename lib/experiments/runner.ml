@@ -140,26 +140,126 @@ let make_future_demand stream names =
          !touched;
        List.sort (fun (a, _) (b, _) -> String.compare a b) out)
 
+(* Per-file-set latency summaries without retained samples: exact
+   mean/max via Welford, log-binned p95 — what keeps a 10M-request run
+   in constant memory.  A file set is served by one server at a time
+   (and only changes hands at quiescent move boundaries), so the
+   per-set completion order — and hence the merged summary — is
+   identical whether the run executed serially or sharded across
+   domains. *)
+type latencies = {
+  moments : Desim.Welford.t array;
+  quantiles : Desim.Stat.Quantile.t array;
+  mutable completed : int;
+}
+
+(* Moments first, then quantiles, as named lets: a record literal
+   evaluates its fields right to left, and allocating the large
+   quantile bin arrays first delays the major GC's reclaiming of
+   earlier runs' garbage (about 9 MB more peak RSS over repeated
+   set-ups of the 500-set partition-chaos workload). *)
+let latencies names =
+  let nfs = Stdlib.max 1 (List.length names) in
+  let moments = Array.init nfs (fun _ -> Desim.Welford.create ()) in
+  let quantiles = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
+  { moments; quantiles; completed = 0 }
+
+let record_latency l ~fs ~latency =
+  l.completed <- l.completed + 1;
+  Desim.Welford.add l.moments.(fs) latency;
+  Desim.Stat.Quantile.add l.quantiles.(fs) latency
+
 (* Fold the per-file-set summaries in file-set {e name} order — an
    order independent of both the engine (serial vs domain-parallel)
    and the stream's id numbering ([of_trace] assigns ids by first
    appearance, generators by declaration), so every driver of the
    same workload produces bit-identical overall numbers. *)
-let merge_latency ~names ~nfs lat_m lat_q =
+let merge_latency ~names l =
+  let nfs = Array.length l.moments in
   let merge_order = Array.init nfs (fun i -> i) in
   let names_arr = Array.of_list names in
   if Array.length names_arr = nfs then
     Array.sort
       (fun a b -> String.compare names_arr.(a) names_arr.(b))
       merge_order;
-  let lat_moments = ref lat_m.(merge_order.(0)) in
-  let lat_quantile = ref lat_q.(merge_order.(0)) in
+  let moments = ref l.moments.(merge_order.(0)) in
+  let quantile = ref l.quantiles.(merge_order.(0)) in
   for i = 1 to nfs - 1 do
-    lat_moments := Desim.Welford.merge !lat_moments lat_m.(merge_order.(i));
-    lat_quantile :=
-      Desim.Stat.Quantile.merge !lat_quantile lat_q.(merge_order.(i))
+    moments := Desim.Welford.merge !moments l.moments.(merge_order.(i));
+    quantile :=
+      Desim.Stat.Quantile.merge !quantile l.quantiles.(merge_order.(i))
   done;
-  (!lat_moments, !lat_quantile)
+  (!moments, !quantile)
+
+(* The one place a [result] is built, whichever engine ran: per-server
+   series, means, request counts and utilizations from the final
+   server objects, plus the merged latency summary. *)
+let assemble scenario policy stream ~names ~latencies:l ~servers ~end_time
+    ~moves ~reconfig_rounds ~sim_events ~sim_wall_seconds ~sim_peak_pending
+    ~metrics ~telemetry ~violations =
+  let duration = Workload.Stream.duration stream in
+  let server_series =
+    List.map
+      (fun s ->
+        ( Id.to_int (Sharedfs.Server.id s),
+          Sharedfs.Server.series s ~until:duration ))
+      servers
+  in
+  let per_server_mean =
+    List.map
+      (fun (id, points) ->
+        let pairs =
+          List.map
+            (fun p ->
+              (p.Desim.Timeseries.mean, float_of_int p.Desim.Timeseries.count))
+            points
+        in
+        (id, Desim.Stat.weighted_mean pairs))
+      server_series
+  in
+  let per_server_requests =
+    List.map
+      (fun (id, points) ->
+        ( id,
+          List.fold_left
+            (fun acc p -> acc + p.Desim.Timeseries.count)
+            0 points ))
+      server_series
+  in
+  let utilizations =
+    List.map
+      (fun s ->
+        ( Id.to_int (Sharedfs.Server.id s),
+          Sharedfs.Server.utilization s ~until:end_time ))
+      servers
+  in
+  let lat_moments, lat_quantile = merge_latency ~names l in
+  {
+    label = scenario.Scenario.label;
+    policy_name = policy.Placement.Policy.name;
+    duration;
+    server_series;
+    per_server_mean;
+    per_server_requests;
+    utilizations;
+    overall_mean = Desim.Welford.mean lat_moments;
+    overall_p95 =
+      (if Desim.Stat.Quantile.count lat_quantile = 0 then 0.0
+       else Desim.Stat.Quantile.percentile lat_quantile 95.0);
+    overall_max =
+      (if Desim.Welford.count lat_moments = 0 then 0.0
+       else Desim.Welford.max_value lat_moments);
+    submitted = Workload.Stream.total stream;
+    completed = l.completed;
+    moves;
+    reconfig_rounds;
+    sim_events;
+    sim_wall_seconds;
+    sim_peak_pending;
+    metrics;
+    telemetry;
+    violations;
+  }
 
 let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     ?check_invariants ?invariant_extra ?(light_invariants = false) ?disk
@@ -196,22 +296,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   let policy = Scenario.make_policy spec ~scenario ~file_sets:names in
   let duration = Workload.Stream.duration stream in
   let interval = scenario.Scenario.reconfig_interval in
-  (* Latency summary without retained samples: exact mean/max via
-     Welford, log-binned p95 — what keeps a 10M-request run in
-     constant memory.  Accumulated per file set and merged in id order
-     at the end: a file set is served by one server at a time (and
-     only changes hands at quiescent move boundaries), so the per-set
-     completion order — and hence the merged summary — is identical
-     whether the run executed serially or sharded across domains. *)
-  let nfs = Stdlib.max 1 (List.length names) in
-  let lat_m = Array.init nfs (fun _ -> Desim.Welford.create ()) in
-  let lat_q = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
-  let completed = ref 0 in
-  let record_latency fs latency =
-    incr completed;
-    Desim.Welford.add lat_m.(fs) latency;
-    Desim.Stat.Quantile.add lat_q.(fs) latency
-  in
+  let lat = latencies names in
   let reconfig_rounds = ref 0 in
   (* Chaos plumbing.  Invariants are checked after every round and
      membership event by default exactly when faults are injected;
@@ -274,59 +359,18 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
         "ledger.repaired"; "invariants.violations";
       ]
   | _ -> ());
+  (* What every membership change, and every round that decides
+     nothing, ends with: one reconcile re-places the orphans and
+     re-addresses the rest, traced as one rehash under [trigger], then
+     one invariant sweep. *)
+  let settle ~time ~trigger =
+    let moved = reconcile cluster policy names in
+    emit_rehash ~time ~trigger moved;
+    check_now ()
+  in
   let emit_membership ~time server change =
     if Obs.Ctx.tracing obs then
       Obs.Ctx.emit obs (Obs.Event.Membership { time; server; change })
-  in
-  let do_delegate_crash () =
-    (* Picking the successor is trivial (lowest alive id); what a crash
-       actually costs is whatever non-replicated state the delegate
-       held — ANU's divergent-tuning history — plus an epoch bump on
-       the on-disk lease, which fences any round the old incumbent
-       still had in flight. *)
-    policy.Placement.Policy.delegate_crashed ();
-    let (_ : int) = Sharedfs.Cluster.reelect_delegate cluster in
-    bump "delegate.reelections"
-  in
-  (* Guarded membership transitions, shared between scripted events
-     and the fault injector: crashing a dead server or recovering an
-     alive one must be a no-op end to end, or a double-fired fault
-     would corrupt the policy's region map. *)
-  let do_fail id =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
-    then begin
-      let now = Desim.Sim.now sim in
-      (* If the failed server was the elected delegate, its
-         reconfiguration state dies with it; the next delegate runs
-         the same protocol from replicated state only. *)
-      let was_delegate =
-        Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-        = Some id
-      in
-      let (_ : string list) = Sharedfs.Cluster.fail_server cluster id in
-      if was_delegate then do_delegate_crash ();
-      policy.Placement.Policy.server_failed id;
-      emit_membership ~time:now (Id.to_int id) Obs.Event.Failed;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"fail" moved;
-      check_now ()
-    end
-  in
-  let do_recover id =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)
-    then begin
-      let now = Desim.Sim.now sim in
-      Sharedfs.Cluster.recover_server cluster id;
-      policy.Placement.Policy.server_added id;
-      emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"recover" moved;
-      check_now ()
-    end
   in
   let emit_partition ~time id ~link ~healed =
     if Obs.Ctx.tracing obs then
@@ -339,187 +383,119 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
              healed;
            })
   in
-  let do_partition id ~link =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && (not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)))
-      && not (Sharedfs.Cluster.is_partitioned cluster id)
-    then begin
-      let now = Desim.Sim.now sim in
-      let was_delegate =
-        Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-        = Some id
-      in
-      (* Fence first (inside [partition_server]), then re-elect: the
-         isolated server may still believe it holds the lease, but its
-         writes are already dead on arrival and the epoch bump fences
-         whatever round it had in flight. *)
-      let (_ : string list) =
-        Sharedfs.Cluster.partition_server cluster id ~link
-      in
-      if was_delegate then do_delegate_crash ();
-      policy.Placement.Policy.server_failed id;
-      emit_partition ~time:now id ~link ~healed:false;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"partition" moved;
-      check_now ()
-    end
+  let do_delegate_crash () =
+    (* Picking the successor is trivial (lowest alive id); what a crash
+       actually costs is whatever non-replicated state the delegate
+       held — ANU's divergent-tuning history — plus an epoch bump on
+       the on-disk lease, which fences any round the old incumbent
+       still had in flight. *)
+    policy.Placement.Policy.delegate_crashed ();
+    let (_ : int) = Sharedfs.Cluster.reelect_delegate cluster in
+    bump "delegate.reelections"
   in
-  let do_heal id =
-    if
-      Sharedfs.Cluster.mem_server cluster id
-      && Sharedfs.Cluster.is_partitioned cluster id
-    then begin
-      let now = Desim.Sim.now sim in
-      let link =
-        match
-          List.assoc_opt id (Sharedfs.Cluster.partitioned_servers cluster)
-        with
-        | Some l -> l
-        | None -> `Cluster
-      in
-      (* [recover_server] takes the partition-heal path: unfence,
-         drop the stale lease belief, then rejoin cold. *)
-      Sharedfs.Cluster.recover_server cluster id;
-      policy.Placement.Policy.server_added id;
-      emit_partition ~time:now id ~link ~healed:true;
-      emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"heal" moved;
-      check_now ()
-    end
-  in
-  (* Atomic domain transitions.  Every member changes state first,
-     then the policy learns of each departure/arrival, and only then
-     does ONE reconcile re-place the orphans — so a file set can never
-     be parked on a member the same correlated fault is about to kill —
-     followed by ONE invariant sweep.  One delegate re-election covers
-     the whole domain even when it held the lease.  Members already in
-     the target state are skipped individually, keeping domain faults
-     idempotent against overlapping per-server faults. *)
-  let do_crash_domain ~domain:_ members =
-    let victims =
-      List.filter
-        (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)))
-        members
-    in
-    match victims with
+  (* Guarded membership transitions, shared between scripted events
+     and the fault injector.  A per-server fault is a one-member list;
+     a correlated domain fault passes every member, and [domain] only
+     picks the rehash trigger.  Members not in the source state are
+     skipped individually: crashing a dead server or recovering an
+     alive one is a no-op end to end (a double-fired fault would
+     otherwise corrupt the policy's region map), and a domain fault
+     overlapping per-server faults stays a no-op per member.
+
+     Every member changes state first, then the policy learns of each
+     departure/arrival, and only then does ONE [settle] re-place the
+     orphans — so a file set is never parked on a member the same
+     fault is about to kill.  A departure fences first (inside
+     [fail_server]/[partition_server]), then re-elects once if any
+     member held the lease: an isolated incumbent may still believe it
+     is the delegate, but its writes are already dead on arrival and
+     the epoch bump fences whatever round it had in flight; the
+     reconfiguration state dies with it and the next delegate runs
+     from replicated state only.  [change] returns what [trace] needs
+     to know about a member's old state. *)
+  let transition ~trigger ~eligible ~departing ~change ~trace members =
+    match List.filter eligible members with
     | [] -> ()
-    | _ ->
+    | ids ->
       let now = Desim.Sim.now sim in
       let delegate_dies =
+        departing
+        &&
         match
           Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
         with
-        | Some d -> List.exists (Id.equal d) victims
+        | Some d -> List.exists (Id.equal d) ids
         | None -> false
       in
-      List.iter
-        (fun id ->
-          ignore (Sharedfs.Cluster.fail_server cluster id : string list))
-        victims;
+      let changed = List.map (fun id -> (id, change id)) ids in
       if delegate_dies then do_delegate_crash ();
-      List.iter (fun id -> policy.Placement.Policy.server_failed id) victims;
       List.iter
-        (fun id -> emit_membership ~time:now (Id.to_int id) Obs.Event.Failed)
-        victims;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-crash" moved;
-      check_now ()
+        (if departing then policy.Placement.Policy.server_failed
+         else policy.Placement.Policy.server_added)
+        ids;
+      List.iter (fun (id, v) -> trace ~time:now id v) changed;
+      settle ~time:now ~trigger
   in
-  let do_recover_domain ~domain:_ members =
-    let back =
-      List.filter
-        (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id))
-        members
-    in
-    match back with
-    | [] -> ()
-    | _ ->
-      let now = Desim.Sim.now sim in
-      List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
-      List.iter (fun id -> policy.Placement.Policy.server_added id) back;
-      List.iter
-        (fun id ->
-          emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
-        back;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-recover" moved;
-      check_now ()
+  let present id = Sharedfs.Cluster.mem_server cluster id in
+  let failed id =
+    Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)
   in
-  let do_partition_domain ~domain:_ members ~link =
-    let victims =
-      List.filter
-        (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && (not (Sharedfs.Server.failed (Sharedfs.Cluster.server cluster id)))
-          && not (Sharedfs.Cluster.is_partitioned cluster id))
-        members
-    in
-    match victims with
-    | [] -> ()
-    | _ ->
-      let now = Desim.Sim.now sim in
-      let delegate_dies =
-        match
-          Sharedfs.Delegate.elect ~alive:(Sharedfs.Cluster.alive_ids cluster)
-        with
-        | Some d -> List.exists (Id.equal d) victims
-        | None -> false
-      in
-      (* Fence every member first (inside [partition_server]), then
-         re-elect once: the isolated domain may still believe it holds
-         the lease, but its writes are already dead on arrival. *)
-      List.iter
-        (fun id ->
-          ignore
-            (Sharedfs.Cluster.partition_server cluster id ~link : string list))
-        victims;
-      if delegate_dies then do_delegate_crash ();
-      List.iter (fun id -> policy.Placement.Policy.server_failed id) victims;
-      List.iter
-        (fun id -> emit_partition ~time:now id ~link ~healed:false)
-        victims;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-partition" moved;
-      check_now ()
+  let crash ~domain =
+    transition
+      ~trigger:(if Option.is_none domain then "fail" else "domain-crash")
+      ~eligible:(fun id -> present id && not (failed id))
+      ~departing:true
+      ~change:(fun id ->
+        ignore (Sharedfs.Cluster.fail_server cluster id : string list))
+      ~trace:(fun ~time id () ->
+        emit_membership ~time (Id.to_int id) Obs.Event.Failed)
   in
-  let do_heal_domain ~domain:_ members =
-    let back =
-      List.filter
-        (fun id ->
-          Sharedfs.Cluster.mem_server cluster id
-          && Sharedfs.Cluster.is_partitioned cluster id)
-        members
-    in
-    match back with
-    | [] -> ()
-    | _ ->
-      let now = Desim.Sim.now sim in
-      let links =
-        List.map
-          (fun id ->
-            match
-              List.assoc_opt id (Sharedfs.Cluster.partitioned_servers cluster)
-            with
-            | Some l -> (id, l)
-            | None -> (id, `Cluster))
-          back
-      in
-      List.iter (fun id -> Sharedfs.Cluster.recover_server cluster id) back;
-      List.iter (fun id -> policy.Placement.Policy.server_added id) back;
-      List.iter
-        (fun (id, link) ->
-          emit_partition ~time:now id ~link ~healed:true;
-          emit_membership ~time:now (Id.to_int id) Obs.Event.Recovered)
-        links;
-      let moved = reconcile cluster policy names in
-      emit_rehash ~time:now ~trigger:"domain-heal" moved;
-      check_now ()
+  let recover ~domain =
+    transition
+      ~trigger:
+        (if Option.is_none domain then "recover" else "domain-recover")
+      ~eligible:(fun id -> present id && failed id)
+      ~departing:false
+      ~change:(fun id -> Sharedfs.Cluster.recover_server cluster id)
+      ~trace:(fun ~time id () ->
+        emit_membership ~time (Id.to_int id) Obs.Event.Recovered)
+  in
+  let partition ~domain members ~link =
+    transition
+      ~trigger:
+        (if Option.is_none domain then "partition" else "domain-partition")
+      ~eligible:(fun id ->
+        present id
+        && (not (failed id))
+        && not (Sharedfs.Cluster.is_partitioned cluster id))
+      ~departing:true
+      ~change:(fun id ->
+        ignore
+          (Sharedfs.Cluster.partition_server cluster id ~link : string list))
+      ~trace:(fun ~time id () -> emit_partition ~time id ~link ~healed:false)
+      members
+  in
+  let heal ~domain =
+    transition
+      ~trigger:(if Option.is_none domain then "heal" else "domain-heal")
+      ~eligible:(fun id ->
+        present id && Sharedfs.Cluster.is_partitioned cluster id)
+      ~departing:false
+      ~change:(fun id ->
+        let link =
+          match
+            List.assoc_opt id (Sharedfs.Cluster.partitioned_servers cluster)
+          with
+          | Some l -> l
+          | None -> `Cluster
+        in
+        (* [recover_server] takes the partition-heal path: unfence,
+           drop the stale lease belief, then rejoin cold. *)
+        Sharedfs.Cluster.recover_server cluster id;
+        link)
+      ~trace:(fun ~time id link ->
+        emit_partition ~time id ~link ~healed:true;
+        emit_membership ~time (Id.to_int id) Obs.Event.Recovered)
   in
   let injector =
     Option.map
@@ -527,15 +503,11 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
         Fault.Injector.arm ~sim ~cluster ~obs ~duration
           ~actions:
             {
-              Fault.Injector.crash_server = do_fail;
-              recover_server = do_recover;
+              Fault.Injector.crash;
+              recover;
+              partition;
+              heal;
               crash_delegate = do_delegate_crash;
-              partition_server = do_partition;
-              heal_server = do_heal;
-              crash_domain = do_crash_domain;
-              recover_domain = do_recover_domain;
-              partition_domain = do_partition_domain;
-              heal_domain = do_heal_domain;
             }
           plan)
       faults
@@ -576,9 +548,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
       Sharedfs.Cluster.restore_recovered cluster ~owned ~orphaned
     in
     ignore (Sharedfs.Cluster.reelect_delegate cluster : int);
-    let moved = reconcile cluster policy names in
-    emit_rehash ~time:0.0 ~trigger:"recovery" moved;
-    check_now ());
+    settle ~time:0.0 ~trigger:"recovery");
   (* The streaming driver has two arrival paths.  The default is a
      self-re-arming cursor event: only the next not-yet-due request
      occupies the heap, so heap occupancy is O(streams + inflight) —
@@ -605,7 +575,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   (match batch with
   | Some batch ->
     Sharedfs.Cluster.set_stream_sink cluster (fun ~fs ~latency ->
-        record_latency fs latency);
+        record_latency lat ~fs ~latency);
     let cols = Workload.Stream.make_cols 64 in
     let next = [| Float.infinity |] in
     let idx = ref 0 in
@@ -641,7 +611,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
       Sharedfs.Cluster.submit_fs cluster ~fs:it.Workload.Stream.fs
         ~base_demand:it.Workload.Stream.demand it.Workload.Stream.request
         ~on_complete:(fun ~latency ->
-          record_latency it.Workload.Stream.fs latency;
+          record_latency lat ~fs:it.Workload.Stream.fs ~latency;
           match on_request_complete with
           | None -> ()
           | Some f ->
@@ -776,9 +746,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
                        nothing.  Re-placement still runs so orphans
                        heal. *)
                     Fault.Injector.note_delegate_crash inj;
-                    let moved = reconcile cluster policy names in
-                    emit_rehash ~time:at ~trigger:"delegate-crash" moved;
-                    check_now ();
+                    settle ~time:at ~trigger:"delegate-crash";
                     end_round "delegate-crash"
                   end
                   else if Sharedfs.Cluster.ensure_delegate cluster
@@ -790,9 +758,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
                        discarded, never applied — but orphan healing
                        still runs under the new epoch. *)
                     bump "rounds.fenced";
-                    let moved = reconcile cluster policy names in
-                    emit_rehash ~time:at ~trigger:"round-fenced" moved;
-                    check_now ();
+                    settle ~time:at ~trigger:"round-fenced";
                     end_round "fenced"
                   end
                   else
@@ -816,9 +782,7 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
                          next healthy round, though. *)
                       bump "rounds.skipped";
                       emit_degraded ~missing ~survivors:0 ~skipped:true;
-                      let moved = reconcile cluster policy names in
-                      emit_rehash ~time:at ~trigger:"round-skipped" moved;
-                      check_now ();
+                      settle ~time:at ~trigger:"round-skipped";
                       end_round "skipped"))
       in
       ()
@@ -831,16 +795,14 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
       let (_ : Desim.Sim.handle) =
         Desim.Sim.schedule_at sim ~time:at (fun () ->
             match action with
-            | Fail raw -> do_fail (Id.of_int raw)
-            | Recover raw -> do_recover (Id.of_int raw)
+            | Fail raw -> crash ~domain:None [ Id.of_int raw ]
+            | Recover raw -> recover ~domain:None [ Id.of_int raw ]
             | Add (raw, speed) ->
               let id = Id.of_int raw in
               Sharedfs.Cluster.add_server cluster id ~speed;
               policy.Placement.Policy.server_added id;
               emit_membership ~time:at raw (Obs.Event.Added speed);
-              let moved = reconcile cluster policy names in
-              emit_rehash ~time:at ~trigger:"add" moved;
-              check_now ()
+              settle ~time:at ~trigger:"add"
             | Set_speed (raw, speed) ->
               Sharedfs.Server.set_speed
                 (Sharedfs.Cluster.server cluster (Id.of_int raw))
@@ -849,40 +811,28 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
             | Delegate_crash -> do_delegate_crash ()
             | Decommission raw ->
               let id = Id.of_int raw in
-              if
-                Sharedfs.Cluster.mem_server cluster id
-                && not
-                     (Sharedfs.Server.failed
-                        (Sharedfs.Cluster.server cluster id))
-              then begin
+              if present id && not (failed id) then begin
                 (* Planned removal: re-address first while the server
                    is still up, so its sets leave by the cheap flush
                    path instead of orphan recovery; the machine only
                    goes away after a drain grace period. *)
                 policy.Placement.Policy.server_failed id;
                 emit_membership ~time:at raw Obs.Event.Decommissioned;
-                let moved = reconcile cluster policy names in
-                emit_rehash ~time:at ~trigger:"decommission" moved;
-                check_now ();
+                settle ~time:at ~trigger:"decommission";
                 let (_ : Desim.Sim.handle) =
                   Desim.Sim.schedule sim ~delay:decommission_grace
                     (fun () ->
-                      if
-                        not
-                          (Sharedfs.Server.failed
-                             (Sharedfs.Cluster.server cluster id))
-                      then begin
+                      if failed id then check_now ()
+                      else begin
                         (* Anything that failed to drain in time goes
                            down the crash path and heals as an
                            orphan. *)
                         let (_ : string list) =
                           Sharedfs.Cluster.fail_server cluster id
                         in
-                        let moved = reconcile cluster policy names in
-                        emit_rehash ~time:(Desim.Sim.now sim)
-                          ~trigger:"decommission-final" moved
-                      end;
-                      check_now ())
+                        settle ~time:(Desim.Sim.now sim)
+                          ~trigger:"decommission-final"
+                      end)
                 in
                 ()
               end)
@@ -893,72 +843,18 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   let profile = Desim.Sim.run_profiled sim in
   let end_time = Float.max duration (Desim.Sim.now sim) in
   Obs.Span.end_ obs ~time:end_time ~id:run_span ~name:"run" ~cat:"run" ();
-  let all_servers = Sharedfs.Cluster.servers cluster in
-  let server_series =
-    List.map
-      (fun s ->
-        ( Id.to_int (Sharedfs.Server.id s),
-          Sharedfs.Server.series s ~until:duration ))
-      all_servers
-  in
-  let per_server_mean =
-    List.map
-      (fun (id, points) ->
-        let pairs =
-          List.map
-            (fun p ->
-              (p.Desim.Timeseries.mean, float_of_int p.Desim.Timeseries.count))
-            points
-        in
-        (id, Desim.Stat.weighted_mean pairs))
-      server_series
-  in
-  let per_server_requests =
-    List.map
-      (fun (id, points) ->
-        ( id,
-          List.fold_left
-            (fun acc p -> acc + p.Desim.Timeseries.count)
-            0 points ))
-      server_series
-  in
-  let utilizations =
-    List.map
-      (fun s ->
-        ( Id.to_int (Sharedfs.Server.id s),
-          Sharedfs.Server.utilization s ~until:end_time ))
-      all_servers
-  in
-  let lat_moments, lat_quantile = merge_latency ~names ~nfs lat_m lat_q in
-  {
-    label = scenario.Scenario.label;
-    policy_name = policy.Placement.Policy.name;
-    duration;
-    server_series;
-    per_server_mean;
-    per_server_requests;
-    utilizations;
-    overall_mean = Desim.Welford.mean lat_moments;
-    overall_p95 =
-      (if Desim.Stat.Quantile.count lat_quantile = 0 then 0.0
-       else Desim.Stat.Quantile.percentile lat_quantile 95.0);
-    overall_max =
-      (if Desim.Welford.count lat_moments = 0 then 0.0
-       else Desim.Welford.max_value lat_moments);
-    submitted = Workload.Stream.total stream;
-    completed = !completed;
-    moves = Sharedfs.Cluster.moves cluster;
-    reconfig_rounds = !reconfig_rounds;
-    sim_events = profile.Desim.Sim.fired;
-    sim_wall_seconds = profile.Desim.Sim.wall_seconds;
-    sim_peak_pending = Desim.Sim.peak_pending sim;
-    metrics = Obs.Ctx.snapshot obs;
-    telemetry =
-      Option.map
-        (fun tl -> Obs.Telemetry.snapshot tl ~until:end_time)
-        (Obs.Ctx.telemetry obs);
-    violations = List.rev !violations;
-  }
+  assemble scenario policy stream ~names ~latencies:lat
+    ~servers:(Sharedfs.Cluster.servers cluster)
+    ~end_time ~moves:(Sharedfs.Cluster.moves cluster)
+    ~reconfig_rounds:!reconfig_rounds ~sim_events:profile.Desim.Sim.fired
+    ~sim_wall_seconds:profile.Desim.Sim.wall_seconds
+    ~sim_peak_pending:(Desim.Sim.peak_pending sim)
+    ~metrics:(Obs.Ctx.snapshot obs)
+    ~telemetry:
+      (Option.map
+         (fun tl -> Obs.Telemetry.snapshot tl ~until:end_time)
+         (Obs.Ctx.telemetry obs))
+    ~violations:(List.rev !violations)
 
 (* The domain-parallel driver: same policy machinery, same stream,
    same accumulators — only the event execution is sharded.  The
@@ -971,15 +867,8 @@ let run_stream_par scenario spec ~stream ~batch ~jobs () =
   let policy = Scenario.make_policy spec ~scenario ~file_sets:names in
   let duration = Workload.Stream.duration stream in
   let interval = scenario.Scenario.reconfig_interval in
-  let nfs = Stdlib.max 1 (List.length names) in
-  let lat_m = Array.init nfs (fun _ -> Desim.Welford.create ()) in
-  let lat_q = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
-  let completed = ref 0 in
-  let emit ~fs ~latency =
-    incr completed;
-    Desim.Welford.add lat_m.(fs) latency;
-    Desim.Stat.Quantile.add lat_q.(fs) latency
-  in
+  let lat = latencies names in
+  let emit ~fs ~latency = record_latency lat ~fs ~latency in
   let future_demand = make_future_demand stream names in
   let servers =
     List.map (fun (id, s) -> (Id.of_int id, s)) scenario.Scenario.servers
@@ -1027,68 +916,10 @@ let run_stream_par scenario spec ~stream ~batch ~jobs () =
   let all_servers = Stream_par.servers engine in
   let moves = Stream_par.moves engine in
   Stream_par.finish engine;
-  let server_series =
-    List.map
-      (fun s ->
-        ( Id.to_int (Sharedfs.Server.id s),
-          Sharedfs.Server.series s ~until:duration ))
-      all_servers
-  in
-  let per_server_mean =
-    List.map
-      (fun (id, points) ->
-        let pairs =
-          List.map
-            (fun p ->
-              (p.Desim.Timeseries.mean, float_of_int p.Desim.Timeseries.count))
-            points
-        in
-        (id, Desim.Stat.weighted_mean pairs))
-      server_series
-  in
-  let per_server_requests =
-    List.map
-      (fun (id, points) ->
-        ( id,
-          List.fold_left
-            (fun acc p -> acc + p.Desim.Timeseries.count)
-            0 points ))
-      server_series
-  in
-  let utilizations =
-    List.map
-      (fun s ->
-        ( Id.to_int (Sharedfs.Server.id s),
-          Sharedfs.Server.utilization s ~until:end_time ))
-      all_servers
-  in
-  let lat_moments, lat_quantile = merge_latency ~names ~nfs lat_m lat_q in
-  {
-    label = scenario.Scenario.label;
-    policy_name = policy.Placement.Policy.name;
-    duration;
-    server_series;
-    per_server_mean;
-    per_server_requests;
-    utilizations;
-    overall_mean = Desim.Welford.mean lat_moments;
-    overall_p95 =
-      (if Desim.Stat.Quantile.count lat_quantile = 0 then 0.0
-       else Desim.Stat.Quantile.percentile lat_quantile 95.0);
-    overall_max =
-      (if Desim.Welford.count lat_moments = 0 then 0.0
-       else Desim.Welford.max_value lat_moments);
-    submitted = Workload.Stream.total stream;
-    completed = !completed;
-    moves;
-    reconfig_rounds = !reconfig_rounds;
-    sim_events = fired + !reconfig_rounds;
-    sim_wall_seconds;
-    sim_peak_pending = peak;
-    metrics = None;
-    telemetry = None;
-    violations = [];
-  }
+  assemble scenario policy stream ~names ~latencies:lat ~servers:all_servers
+    ~end_time ~moves ~reconfig_rounds:!reconfig_rounds
+    ~sim_events:(fired + !reconfig_rounds) ~sim_wall_seconds
+    ~sim_peak_pending:peak ~metrics:None ~telemetry:None ~violations:[]
 
 let run_stream scenario spec ~stream ?(events = []) ?(obs = Obs.Ctx.null)
     ?faults ?check_invariants ?invariant_extra ?light_invariants

@@ -2,16 +2,12 @@ module Cluster = Sharedfs.Cluster
 module Server_id = Sharedfs.Server_id
 
 type actions = {
-  crash_server : Server_id.t -> unit;
-  recover_server : Server_id.t -> unit;
+  crash : domain:string option -> Server_id.t list -> unit;
+  recover : domain:string option -> Server_id.t list -> unit;
+  partition :
+    domain:string option -> Server_id.t list -> link:Cluster.link -> unit;
+  heal : domain:string option -> Server_id.t list -> unit;
   crash_delegate : unit -> unit;
-  partition_server : Server_id.t -> link:Cluster.link -> unit;
-  heal_server : Server_id.t -> unit;
-  crash_domain : domain:string -> Server_id.t list -> unit;
-  recover_domain : domain:string -> Server_id.t list -> unit;
-  partition_domain :
-    domain:string -> Server_id.t list -> link:Cluster.link -> unit;
-  heal_domain : domain:string -> Server_id.t list -> unit;
 }
 
 type t = {
@@ -61,7 +57,7 @@ let crash t id =
     in
     if span <> Obs.Span.none then Hashtbl.replace t.crash_spans id span
   end;
-  t.actions.crash_server id
+  t.actions.crash ~domain:None [ id ]
 
 let recover t id =
   record t ~server:id Obs.Event.Server_recover;
@@ -71,7 +67,7 @@ let recover t id =
     Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span ~name:"crash"
       ~cat:"fault" ~server:(Server_id.to_int id) ~outcome:"recovered" ()
   | None -> ());
-  t.actions.recover_server id
+  t.actions.recover ~domain:None [ id ]
 
 let note_delegate_crash t =
   record t Obs.Event.Delegate_crash;
@@ -104,7 +100,7 @@ let partition t server ~link =
     in
     if span <> Obs.Span.none then Hashtbl.replace t.partition_spans server span
   end;
-  t.actions.partition_server server ~link;
+  t.actions.partition ~domain:None [ server ] ~link;
   (* First probe shortly after the cut, then on a steady cadence. *)
   let (_ : Desim.Sim.handle) =
     Desim.Sim.schedule t.sim ~delay:1.0 (fun () -> zombie_probe t server)
@@ -120,7 +116,7 @@ let heal t server ~link =
       ~name:("partition:" ^ link_name link)
       ~cat:"fault" ~server:(Server_id.to_int server) ~outcome:"healed" ()
   | None -> ());
-  t.actions.heal_server server
+  t.actions.heal ~domain:None [ server ]
 
 (* --- Correlated domain faults --- *)
 
@@ -144,7 +140,7 @@ let domain_crash t domain =
     if span <> Obs.Span.none then
       Hashtbl.replace t.domain_crash_spans domain span
   end;
-  t.actions.crash_domain ~domain ids
+  t.actions.crash ~domain:(Some domain) ids
 
 let domain_recover t domain =
   let ids = members t domain in
@@ -155,7 +151,7 @@ let domain_recover t domain =
     Obs.Span.end_ t.obs ~time:(Desim.Sim.now t.sim) ~id:span
       ~name:("domain-crash:" ^ domain) ~cat:"fault" ~outcome:"recovered" ()
   | None -> ());
-  t.actions.recover_domain ~domain ids
+  t.actions.recover ~domain:(Some domain) ids
 
 let domain_partition t domain ~link =
   let ids = members t domain in
@@ -171,7 +167,7 @@ let domain_partition t domain ~link =
     if span <> Obs.Span.none then
       Hashtbl.replace t.domain_partition_spans domain span
   end;
-  t.actions.partition_domain ~domain ids ~link;
+  t.actions.partition ~domain:(Some domain) ids ~link;
   (* Every isolated member runs its own zombie-write cadence, exactly
      as a solo partition would. *)
   List.iter
@@ -194,7 +190,7 @@ let domain_heal t domain ~link =
       ~name:("domain-partition:" ^ link_name link ^ ":" ^ domain)
       ~cat:"fault" ~outcome:"healed" ()
   | None -> ());
-  t.actions.heal_domain ~domain ids
+  t.actions.heal ~domain:(Some domain) ids
 
 let schedule_timeline t ~duration =
   List.iter

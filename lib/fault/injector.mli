@@ -16,27 +16,25 @@ type t
     delegate re-election) and are safe to double-fire: crashing a dead
     server or recovering an alive one must be a no-op.
 
-    The [*_domain] actions deliver a correlated fault {e atomically}:
-    the runner takes every member server down (or up) first and only
-    then re-places orphans, re-elects and checks invariants {e once} —
-    never re-placing a file set onto a member that the same fault is
-    about to kill.  Members already in the target state are skipped
-    individually, so a domain fault overlapping per-server faults
-    stays a no-op per member. *)
+    Each membership action takes the list of servers the fault hits.
+    A per-server fault passes a one-member list with [~domain:None]; a
+    correlated domain fault passes every member with [~domain:(Some
+    name)] and is delivered {e atomically}: the runner takes every
+    member down (or up) first and only then re-places orphans,
+    re-elects and checks invariants {e once} — never re-placing a file
+    set onto a member that the same fault is about to kill.  Members
+    already in the target state are skipped individually, so a domain
+    fault overlapping per-server faults stays a no-op per member. *)
 type actions = {
-  crash_server : Sharedfs.Server_id.t -> unit;
-  recover_server : Sharedfs.Server_id.t -> unit;
-  crash_delegate : unit -> unit;
-  partition_server : Sharedfs.Server_id.t -> link:Sharedfs.Cluster.link -> unit;
-  heal_server : Sharedfs.Server_id.t -> unit;
-  crash_domain : domain:string -> Sharedfs.Server_id.t list -> unit;
-  recover_domain : domain:string -> Sharedfs.Server_id.t list -> unit;
-  partition_domain :
-    domain:string ->
+  crash : domain:string option -> Sharedfs.Server_id.t list -> unit;
+  recover : domain:string option -> Sharedfs.Server_id.t list -> unit;
+  partition :
+    domain:string option ->
     Sharedfs.Server_id.t list ->
     link:Sharedfs.Cluster.link ->
     unit;
-  heal_domain : domain:string -> Sharedfs.Server_id.t list -> unit;
+  heal : domain:string option -> Sharedfs.Server_id.t list -> unit;
+  crash_delegate : unit -> unit;
 }
 
 (** [arm ~sim ~cluster ~obs ~duration ~actions plan] schedules every

@@ -279,12 +279,13 @@ let collateral_bounded ?(slack = 0.1) ~cluster () =
    measure deltas — O(changed servers); membership events call
    [resync], a full O(n) rebuild that makes the state exact again.
    The full recompute above is retained as the oracle: the test suite
-   pins that both report the same verdicts.  (The running float sums
-   can differ from the fold-from-scratch sums in the last bits, ~1e-15
-   per round against thresholds of 1e-9 — the message text of an
-   already-fired violation may therefore differ in final digits, but
-   whether a violation fires agrees far from the threshold, which the
-   qcheck suite exercises.) *)
+   pins that both report the same violations, text included.  (The
+   running float sums can differ from the fold-from-scratch sums in
+   the last bits, ~1e-15 per round against thresholds of 1e-9.
+   Verdicts come from the running sums and agree far from the
+   threshold, which the qcheck suite exercises; the numbers in a fired
+   message come from an exact fold, so its text never depends on the
+   drift.) *)
 module Acc = struct
   type acc = {
     policy : Placement.Policy.t;
@@ -369,11 +370,35 @@ module Acc = struct
             +. (m -. old)))
       (t.policy.Placement.Policy.changed_servers ())
 
+  (* The sums a fired violation's message reports, folded from scratch
+     over [policy.regions ()] in the order [check_regions] and
+     [domain_spread] fold them: the mapped total, and per domain the
+     sum over its members.  Running sums drift from these in the last
+     bits, so rendering from them would make the text of an
+     already-fired violation depend on the round history. *)
+  let exact_sums t =
+    let regions = t.policy.Placement.Policy.regions () in
+    let per_domain = Hashtbl.create 8 in
+    List.iter
+      (fun (id, m) ->
+        match Sharedfs.Topology.domain_of t.topology id with
+        | None -> ()
+        | Some name ->
+          Hashtbl.replace per_domain name
+            (Option.value ~default:0.0 (Hashtbl.find_opt per_domain name)
+            +. m))
+      regions;
+    (List.fold_left (fun acc (_, m) -> acc +. m) 0.0 regions, per_domain)
+
   (* Same verdicts and message formats as [check_regions],
-     [check_conservation] and [domain_spread], from the running state:
-     O(#negatives + #domains) instead of O(n). *)
+     [check_conservation] and [domain_spread].  Verdicts come from the
+     running state — O(#negatives + #domains) instead of O(n); only a
+     round where half occupancy or domain spread fires pays one O(n)
+     [exact_sums] fold for its message text, which is then exactly
+     the full recompute's. *)
   let check t ~cluster =
     let time = Desim.Sim.now (Cluster.sim cluster) in
+    let exact = lazy (exact_sums t) in
     let regions_violations =
       if t.n = 0 then []
       else begin
@@ -392,7 +417,8 @@ module Acc = struct
         in
         if Float.abs (t.total -. 0.5) > t.eps then
           Printf.sprintf
-            "half-occupancy broken: mapped measure %.12g, expected 0.5" t.total
+            "half-occupancy broken: mapped measure %.12g, expected 0.5"
+            (fst (Lazy.force exact))
           :: negative
         else negative
       end
@@ -410,17 +436,21 @@ module Acc = struct
               let measure =
                 Option.value ~default:0.0 (Hashtbl.find_opt t.domain_sum name)
               in
-              let cap =
+              let cap total =
                 Float.min 1.0
                   ((float_of_int k /. float_of_int t.n) +. t.slack)
-                *. t.total
+                *. total
               in
-              if measure > cap +. 1e-9 then
+              if measure > cap t.total +. 1e-9 then
+                let total, per_domain = Lazy.force exact in
+                let measure =
+                  Option.value ~default:0.0 (Hashtbl.find_opt per_domain name)
+                in
                 Some
                   (Printf.sprintf
                      "domain spread broken: domain %s maps %.12g of %.12g \
                       (%d of %d servers, cap %.12g)"
-                     name measure t.total k t.n cap)
+                     name measure total k t.n (cap total))
               else None)
           (Sharedfs.Topology.domains t.topology)
     in

@@ -59,13 +59,14 @@ val check :
     conservation and domain spread.  A 10,000-server round checks in
     O(changed servers + #domains) instead of O(n): {!Acc.round} drains
     the policy's {!Placement.Policy.t.changed_servers} journal and
-    applies measure deltas to running sums; {!Acc.check} renders
-    verdicts from those sums with the same message formats as the full
-    recompute, which remains the oracle ({!check} is unchanged and the
-    test suite pins that both agree).  Membership events change [n]
-    and the per-domain member counts, which the deltas cannot see —
-    call {!Acc.resync} (full O(n) rebuild) after every failure or
-    addition; the runner's light-invariants mode does exactly this. *)
+    applies measure deltas to running sums; {!Acc.check} decides
+    verdicts from those sums and renders fired messages with the same
+    text as the full recompute, which remains the oracle ({!check} is
+    unchanged and the test suite pins that both agree).  Membership
+    events change [n] and the per-domain member counts, which the
+    deltas cannot see — call {!Acc.resync} (full O(n) rebuild) after
+    every failure or addition; the runner's light-invariants mode does
+    exactly this. *)
 module Acc : sig
   type t
 
@@ -87,7 +88,10 @@ module Acc : sig
       membership events; also re-zeroes any accumulated float drift. *)
   val resync : t -> unit
 
-  (** Verdicts from the running sums — O(#negatives + #domains). *)
+  (** Verdicts from the running sums — O(#negatives + #domains).  When
+      half occupancy or domain spread fires, the numbers in its
+      message are folded exactly from [policy.regions ()] (one O(n)
+      pass per such call), so the text equals {!check}'s. *)
   val check : t -> cluster:Sharedfs.Cluster.t -> violation list
 end
 

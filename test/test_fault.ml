@@ -703,6 +703,80 @@ let test_runner_decommission_drains_cleanly () =
   check_int "no request lost" r.Experiments.Runner.submitted
     r.Experiments.Runner.completed
 
+let test_one_member_domain_fault_is_per_server_fault () =
+  (* A per-server fault is a one-member domain fault: over three racks
+     of the paper cluster rack0 holds server 0 alone (the initial
+     delegate), so crashing, recovering and partitioning the server
+     and doing the same to its rack must run identically — only the
+     rehash trigger names which kind of fault it was. *)
+  let scenario =
+    {
+      Experiments.Scenario.default with
+      topology = Some (Experiments.Scenario.rack_topology ~domains:3 ());
+    }
+  in
+  let run specs =
+    let ring = Obs.Sink.Ring.create ~capacity:200_000 in
+    let obs = Obs.Ctx.create ~sinks:[ Obs.Sink.Ring.sink ring ] () in
+    let r =
+      Experiments.Runner.run scenario anu_spec ~trace:(small_trace ~seed:11)
+        ~obs
+        ~faults:(Fault.Plan.make ~seed:5 specs)
+        ()
+    in
+    check_int "ring kept every event" 0 (Obs.Sink.Ring.dropped ring);
+    let triggers =
+      List.filter_map
+        (function
+          | Obs.Event.Rehash_round { trigger; _ }
+            when trigger <> "delegate-round" ->
+            Some trigger
+          | _ -> None)
+        (Obs.Sink.Ring.contents ring)
+    in
+    (r, triggers)
+  in
+  let solo, solo_triggers =
+    run
+      [
+        Fault.Plan.Crash_at { at = 200.0; server = 0 };
+        Fault.Plan.Recover_at { at = 400.0; server = 0 };
+        Fault.Plan.Partition_at
+          { at = 600.0; server = 0; link = `Cluster; heal_after = 150.0 };
+      ]
+  in
+  let rack, rack_triggers =
+    run
+      [
+        Fault.Plan.Domain_crash_at { at = 200.0; domain = "rack0" };
+        Fault.Plan.Domain_recover_at { at = 400.0; domain = "rack0" };
+        Fault.Plan.Domain_partition_at
+          {
+            at = 600.0;
+            domain = "rack0";
+            link = `Cluster;
+            heal_after = 150.0;
+          };
+      ]
+  in
+  let module R = Experiments.Runner in
+  check_bool "files moved" true (solo.R.moves <> []);
+  check_bool "same moves" true (solo.R.moves = rack.R.moves);
+  check_bool "same latency moments" true
+    (solo.R.overall_mean = rack.R.overall_mean
+    && solo.R.overall_p95 = rack.R.overall_p95
+    && solo.R.overall_max = rack.R.overall_max);
+  check_bool "same violations" true (solo.R.violations = rack.R.violations);
+  check_int "same completions" solo.R.completed rack.R.completed;
+  Alcotest.(check (list string))
+    "per-server triggers"
+    [ "fail"; "recover"; "partition"; "heal" ]
+    solo_triggers;
+  Alcotest.(check (list string))
+    "domain triggers"
+    [ "domain-crash"; "domain-recover"; "domain-partition"; "domain-heal" ]
+    rack_triggers
+
 let test_faultfree_path_unchanged () =
   (* The async machinery must not perturb a run that injects no
      faults: byte-identical results with and without the plumbing
@@ -1255,6 +1329,8 @@ let suite =
       test_runner_broken_invariant_caught;
     Alcotest.test_case "runner: decommission drains cleanly" `Quick
       test_runner_decommission_drains_cleanly;
+    Alcotest.test_case "runner: one-member domain fault = per-server fault"
+      `Quick test_one_member_domain_fault_is_per_server_fault;
     Alcotest.test_case "runner: fault-free path unchanged" `Quick
       test_faultfree_path_unchanged;
     Alcotest.test_case "chaos: survives and reproduces" `Quick

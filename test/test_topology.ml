@@ -129,18 +129,14 @@ let test_injector_rejects_unknown_domain () =
     Fault.Plan.make ~seed:1
       [ Fault.Plan.Domain_crash_at { at = 5.0; domain = "rack9" } ]
   in
-  let nop = ignore in
+  let nop ~domain:_ _ = () in
   let actions =
     {
-      Fault.Injector.crash_server = nop;
-      recover_server = nop;
+      Fault.Injector.crash = nop;
+      recover = nop;
+      partition = (fun ~domain:_ _ ~link:_ -> ());
+      heal = nop;
       crash_delegate = (fun () -> ());
-      partition_server = (fun _ ~link:_ -> ());
-      heal_server = nop;
-      crash_domain = (fun ~domain:_ _ -> ());
-      recover_domain = (fun ~domain:_ _ -> ());
-      partition_domain = (fun ~domain:_ _ ~link:_ -> ());
-      heal_domain = (fun ~domain:_ _ -> ());
     }
   in
   let msg =
