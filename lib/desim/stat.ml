@@ -123,7 +123,10 @@ module Quantile = struct
     lo : float;
     log_lo : float;
     log_ratio : float;
-    bins : int array;
+    nbins : int;
+    mutable bins : int array;
+        (* empty until the first value lands in a bin: a run keeps one
+           sketch per file set, most of them never or barely touched *)
     mutable underflow : int;
     mutable overflow : int;
     mutable count : int;
@@ -142,7 +145,8 @@ module Quantile = struct
       lo;
       log_lo = Float.log lo;
       log_ratio = Float.log ratio;
-      bins = Array.make bins 0;
+      nbins = bins;
+      bins = [||];
       underflow = 0;
       overflow = 0;
       count = 0;
@@ -157,9 +161,11 @@ module Quantile = struct
     if x < t.lo then t.underflow <- t.underflow + 1
     else begin
       let idx = int_of_float ((Float.log x -. t.log_lo) /. t.log_ratio) in
-      let n = Array.length t.bins in
-      if idx >= n then t.overflow <- t.overflow + 1
-      else t.bins.(idx) <- t.bins.(idx) + 1
+      if idx >= t.nbins then t.overflow <- t.overflow + 1
+      else begin
+        if Array.length t.bins = 0 then t.bins <- Array.make t.nbins 0;
+        t.bins.(idx) <- t.bins.(idx) + 1
+      end
     end
 
   let count t = t.count
@@ -172,27 +178,23 @@ module Quantile = struct
      order-independent — what lets per-file-set sketches be combined
      into one global sketch identically in the serial and the
      domain-parallel engine. *)
-  let merge a b =
+  let merge_into ~into b =
     if
-      a.lo <> b.lo
-      || a.log_ratio <> b.log_ratio
-      || Array.length a.bins <> Array.length b.bins
-    then invalid_arg "Stat.Quantile.merge: mismatched geometry";
-    let bins = Array.make (Array.length a.bins) 0 in
-    for i = 0 to Array.length bins - 1 do
-      bins.(i) <- a.bins.(i) + b.bins.(i)
-    done;
-    {
-      lo = a.lo;
-      log_lo = a.log_lo;
-      log_ratio = a.log_ratio;
-      bins;
-      underflow = a.underflow + b.underflow;
-      overflow = a.overflow + b.overflow;
-      count = a.count + b.count;
-      min_seen = Float.min a.min_seen b.min_seen;
-      max_seen = Float.max a.max_seen b.max_seen;
-    }
+      into.lo <> b.lo
+      || into.log_ratio <> b.log_ratio
+      || into.nbins <> b.nbins
+    then invalid_arg "Stat.Quantile.merge_into: mismatched geometry";
+    if Array.length b.bins > 0 then begin
+      if Array.length into.bins = 0 then into.bins <- Array.make into.nbins 0;
+      for i = 0 to into.nbins - 1 do
+        into.bins.(i) <- into.bins.(i) + b.bins.(i)
+      done
+    end;
+    into.underflow <- into.underflow + b.underflow;
+    into.overflow <- into.overflow + b.overflow;
+    into.count <- into.count + b.count;
+    into.min_seen <- Float.min into.min_seen b.min_seen;
+    into.max_seen <- Float.max into.max_seen b.max_seen
 
   let percentile t p =
     if t.count = 0 then invalid_arg "Stat.Quantile.percentile: empty";

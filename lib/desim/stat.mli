@@ -74,7 +74,8 @@ module Quantile : sig
   (** [create ?lo ?ratio ?bins ()] covers [\[lo, lo * ratio^bins)];
       the defaults (1e-6, 1.02, 1400) span a microsecond to over 1e6
       seconds.  Values below [lo] count as underflow and resolve to
-      the exact minimum. *)
+      the exact minimum.  The bin array is allocated when the first
+      value lands in a bin. *)
   val create : ?lo:float -> ?ratio:float -> ?bins:int -> unit -> t
 
   val add : t -> float -> unit
@@ -85,11 +86,11 @@ module Quantile : sig
 
   val max_value : t -> float
 
-  (** [merge a b] combines two sketches of identical geometry into a
-      fresh one.  Bin counts are ints, so the merge is exact and
-      order-independent.  Raises [Invalid_argument] on mismatched
-      geometry. *)
-  val merge : t -> t -> t
+  (** [merge_into ~into b] adds [b]'s counts and extremes into [into];
+      both must have identical geometry.  Bin counts are ints, so the
+      merge is exact and order-independent, and an empty sketch is its
+      identity.  Raises [Invalid_argument] on mismatched geometry. *)
+  val merge_into : into:t -> t -> unit
 
   (** [percentile t p] for [p] in [\[0, 100\]]: the geometric midpoint
       of the bin holding the rank, clamped to the observed extremes.

@@ -153,16 +153,13 @@ type latencies = {
   mutable completed : int;
 }
 
-(* Moments first, then quantiles, as named lets: a record literal
-   evaluates its fields right to left, and allocating the large
-   quantile bin arrays first delays the major GC's reclaiming of
-   earlier runs' garbage (about 9 MB more peak RSS over repeated
-   set-ups of the 500-set partition-chaos workload). *)
 let latencies names =
   let nfs = Stdlib.max 1 (List.length names) in
-  let moments = Array.init nfs (fun _ -> Desim.Welford.create ()) in
-  let quantiles = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ()) in
-  { moments; quantiles; completed = 0 }
+  {
+    moments = Array.init nfs (fun _ -> Desim.Welford.create ());
+    quantiles = Array.init nfs (fun _ -> Desim.Stat.Quantile.create ());
+    completed = 0;
+  }
 
 let record_latency l ~fs ~latency =
   l.completed <- l.completed + 1;
@@ -183,13 +180,14 @@ let merge_latency ~names l =
       (fun a b -> String.compare names_arr.(a) names_arr.(b))
       merge_order;
   let moments = ref l.moments.(merge_order.(0)) in
-  let quantile = ref l.quantiles.(merge_order.(0)) in
+  let quantile = Desim.Stat.Quantile.create () in
+  Desim.Stat.Quantile.merge_into ~into:quantile l.quantiles.(merge_order.(0));
   for i = 1 to nfs - 1 do
     moments := Desim.Welford.merge !moments l.moments.(merge_order.(i));
-    quantile :=
-      Desim.Stat.Quantile.merge !quantile l.quantiles.(merge_order.(i))
+    Desim.Stat.Quantile.merge_into ~into:quantile
+      l.quantiles.(merge_order.(i))
   done;
-  (!moments, !quantile)
+  (!moments, quantile)
 
 (* The one place a [result] is built, whichever engine ran: per-server
    series, means, request counts and utilizations from the final
@@ -549,33 +547,46 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
     in
     ignore (Sharedfs.Cluster.reelect_delegate cluster : int);
     settle ~time:0.0 ~trigger:"recovery");
-  (* The streaming driver has two arrival paths.  The default is a
-     self-re-arming cursor event: only the next not-yet-due request
-     occupies the heap, so heap occupancy is O(streams + inflight) —
-     never O(requests).  When nothing wants per-request hooks (no
-     faults, no scripted events, no tracing/metrics/telemetry, no
-     [on_request_complete], no invariant sweeps) and the stream offers
-     a column cursor, the driver switches to the allocation-free path:
-     requests live as column rows fed to the engine as an external
-     ordered source ({!Desim.Sim.set_source}) — arrivals never occupy
-     the heap at all, so the heap holds only completions and timers —
-     and completions report to a sink instead of a per-request
-     closure.  Same dispatch times, same counted events, no
-     per-request allocation or heap traffic. *)
-  let fast_path =
-    Option.is_none faults && events = []
-    && Option.is_none on_request_complete
-    && (not do_check)
-    && Option.is_none restore
+  (* Two independent gates pick the request path.
+
+     Completions: unless something observes individual requests
+     (tracing spans, telemetry, [on_request_complete]), every request
+     completes through the station sink.  It takes a slot in the
+     cluster's in-flight registry and no closure; crash and partition
+     replay, lock grants, move buffering, metrics and the invariant
+     sweeps all work from the registry.  Otherwise each request carries
+     a completion closure ({!Sharedfs.Cluster.submit_fs}).
+
+     Arrivals: a fault-free run with no scripted events, no invariant
+     sweeps, no [restore] and no metrics, whose completions take the
+     sink and whose stream offers a column cursor, feeds its requests
+     as column rows to the engine's external ordered source
+     ({!Desim.Sim.set_source}): arrivals never occupy the heap, so the
+     heap holds only completions and timers.  Every other run keeps
+     its arrivals as heap events from the item cursor, one pending at
+     a time and re-armed by one preallocated action: heap occupancy
+     stays O(streams + inflight), and the heap peak and the event
+     sequence numbers stay those the benchmark's exact oracle pins. *)
+  let sink_completions =
+    Option.is_none on_request_complete
     && (not (Obs.Ctx.tracing obs))
-    && Option.is_none (Obs.Ctx.metrics obs)
     && Option.is_none (Obs.Ctx.telemetry obs)
   in
-  let batch = if fast_path then Workload.Stream.start_batch stream else None in
-  (match batch with
-  | Some batch ->
+  let column_arrivals =
+    sink_completions
+    && Option.is_none faults && events = []
+    && (not do_check)
+    && Option.is_none restore
+    && Option.is_none (Obs.Ctx.metrics obs)
+  in
+  if sink_completions then
     Sharedfs.Cluster.set_stream_sink cluster (fun ~fs ~latency ->
         record_latency lat ~fs ~latency);
+  let batch =
+    if column_arrivals then Workload.Stream.start_batch stream else None
+  in
+  (match batch with
+  | Some batch ->
     let cols = Workload.Stream.make_cols 64 in
     let next = [| Float.infinity |] in
     let idx = ref 0 in
@@ -608,32 +619,48 @@ let run_stream_serial scenario spec ~stream ~events ~obs ?faults
   | None ->
     let arrivals = Workload.Stream.start stream in
     let submit (it : Workload.Stream.item) =
-      Sharedfs.Cluster.submit_fs cluster ~fs:it.Workload.Stream.fs
-        ~base_demand:it.Workload.Stream.demand it.Workload.Stream.request
-        ~on_complete:(fun ~latency ->
-          record_latency lat ~fs:it.Workload.Stream.fs ~latency;
-          match on_request_complete with
-          | None -> ()
-          | Some f ->
-            f
-              {
-                Workload.Trace.time = it.Workload.Stream.time;
-                request = it.Workload.Stream.request;
-                demand = it.Workload.Stream.demand;
-              }
-              ~latency)
+      let req = it.Workload.Stream.request in
+      if sink_completions then
+        Sharedfs.Cluster.submit_stream cluster ~fs:it.Workload.Stream.fs
+          ~op:req.Sharedfs.Request.op ~base_demand:it.Workload.Stream.demand
+          ~path_hash:req.Sharedfs.Request.path_hash
+          ~client:req.Sharedfs.Request.client
+      else
+        Sharedfs.Cluster.submit_fs cluster ~fs:it.Workload.Stream.fs
+          ~base_demand:it.Workload.Stream.demand req
+          ~on_complete:(fun ~latency ->
+            record_latency lat ~fs:it.Workload.Stream.fs ~latency;
+            match on_request_complete with
+            | None -> ()
+            | Some f ->
+              f
+                {
+                  Workload.Trace.time = it.Workload.Stream.time;
+                  request = req;
+                  demand = it.Workload.Stream.demand;
+                }
+                ~latency)
     in
-    let rec arm_arrival (it : Workload.Stream.item) =
-      let (_ : Desim.Sim.handle) =
-        Desim.Sim.schedule_at sim ~time:it.Workload.Stream.time (fun () ->
-            (match arrivals () with
-            | Some next -> arm_arrival next
-            | None -> ());
-            submit it)
-      in
-      ()
+    (* [armed] holds the one arrival in the heap.  Its event arms the
+       next arrival before submitting, so the next arrival's sequence
+       number precedes everything the submission schedules. *)
+    let armed = ref (arrivals ()) in
+    let rec arrive () =
+      match !armed with
+      | None -> ()
+      | Some it ->
+        armed := arrivals ();
+        arm ();
+        submit it
+    and arm () =
+      match !armed with
+      | Some next ->
+        ignore
+          (Desim.Sim.schedule_at sim ~time:next.Workload.Stream.time arrive
+            : Desim.Sim.handle)
+      | None -> ()
     in
-    (match arrivals () with Some first -> arm_arrival first | None -> ()));
+    arm ());
   (* Delegate rounds at every interval boundary within the trace; each
      round arms the next, so at most one round event is pending. *)
   let rounds = int_of_float (Float.floor (duration /. interval)) in

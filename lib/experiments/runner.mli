@@ -138,16 +138,19 @@ val throughput : result list -> throughput
     with its originating trace record (synthesized from the stream
     item) and client-perceived latency.
 
-    When nothing wants per-request hooks — no faults, no scripted
-    events, no tracing/metrics/telemetry, no [on_request_complete], no
-    invariant sweeps — and the stream provides a column cursor
-    ({!Workload.Stream.start_batch}), arrivals take an allocation-free
-    fast path: identical events at identical times, completions
-    reported through a sink instead of per-request closures.  [jobs]
-    (default 1) additionally shards a fast-path-eligible run across
-    worker domains with a barrier at every reconfiguration interval;
-    results are bit-identical to [jobs = 1] (see DESIGN.md §14).  The
-    option is ignored when the fast path is ineligible. *)
+    Unless something observes individual requests — tracing,
+    telemetry or [on_request_complete] — completions are reported
+    through an allocation-free station sink instead of per-request
+    closures, with identical results.  When, in addition, there are
+    no faults, no scripted events, no metrics and no invariant sweeps,
+    and the stream provides a column cursor
+    ({!Workload.Stream.start_batch}), arrivals take the fast path too:
+    identical events at identical times, fed to the engine as column
+    rows outside the event heap.  [jobs] (default 1) additionally
+    shards a fast-path-eligible run across worker domains with a
+    barrier at every reconfiguration interval; results are
+    bit-identical to [jobs = 1] (see DESIGN.md §14).  The option is
+    ignored when the fast path is ineligible. *)
 val run_stream :
   Scenario.t ->
   Scenario.policy_spec ->

@@ -39,6 +39,40 @@ type buffered = {
   on_complete : latency:float -> unit;
 }
 
+(* Stands in the registry for "no record": a streamed request lives in
+   the registry's columns alone.  Compared physically, never read. *)
+let no_buf =
+  {
+    req =
+      { Request.op = Request.Stat; file_set = ""; path_hash = 0; client = 0 };
+    fs = -1;
+    base_demand = 0.0;
+    arrival = 0.0;
+    span = Obs.Span.none;
+    bspan = Obs.Span.none;
+    on_complete = (fun ~latency:_ -> ());
+  }
+
+(* The in-flight registry: one slot per request delivered to a server
+   and not yet completed, and the slot index is the request's station
+   tag.  Structure of arrays with a free-slot stack, like
+   [Desim.Sim]'s event slots, so registering and retiring a streamed
+   request allocates nothing: it lives in the columns alone.  A
+   closure-path delivery (and a streamed request replayed after a move
+   or a crash) keeps its full [buffered] record in [s_buf]. *)
+type slots = {
+  mutable s_fs : int array;
+  mutable s_op : Request.op array;
+  mutable s_demand : float array;
+  mutable s_arrival : float array;
+  mutable s_path : int array;
+  mutable s_client : int array;
+  mutable s_buf : buffered array;  (* [no_buf] for a streamed request *)
+  mutable s_free : int array;  (* free-slot stack *)
+  mutable s_free_len : int;
+  mutable s_live : int;
+}
+
 type ownership =
   | Unassigned
   | Owned of Server_id.t
@@ -160,16 +194,19 @@ type t = {
   mutable sorted_servers : Server.t list;
       (* cached [servers] result, rebuilt only on membership change *)
   mutable servers_by_int : Server.t option array;
-      (* dense [Server_id.to_int]-indexed view, built by
-         [set_stream_sink] so the streaming path never hashes an id *)
+      (* dense [Server_id.to_int]-indexed view, rebuilt with
+         [sorted_servers], so the request path never hashes an id *)
   mutable stream_sink : (fs:int -> latency:float -> unit) option;
+  clockc : float array;  (* Sim.time_cell: unboxed clock reads *)
   ownership : ownership array;  (* indexed by interned file-set id *)
   name_order : int array Lazy.t;
       (* interned ids sorted by name, for the name-sorted audits *)
-  inflight : (int, buffered) Hashtbl.t;
+  slots : slots;  (* the in-flight registry *)
+  hazards : int array;
+      (* per file set: live slots holding a lock operation or a
+         [buffered] record, for [inflight_fs] *)
   locking : locking;  (* per-file-set lock domains; possibly shared *)
   mutable lock_stats : lock_stats;
-  mutable next_tag : int;
   mutable move_log : move_record list;
   mutable moves_started : int;
   mutable moves_failed : int;
@@ -192,7 +229,17 @@ type t = {
 let rebuild_sorted_servers t =
   t.sorted_servers <-
     Hashtbl.fold (fun _ s acc -> s :: acc) t.servers []
-    |> List.sort (fun a b -> Server_id.compare (Server.id a) (Server.id b))
+    |> List.sort (fun a b -> Server_id.compare (Server.id a) (Server.id b));
+  let max_id =
+    List.fold_left
+      (fun m s -> max m (Server_id.to_int (Server.id s)))
+      0 t.sorted_servers
+  in
+  let by_int = Array.make (max_id + 1) None in
+  List.iter
+    (fun s -> by_int.(Server_id.to_int (Server.id s)) <- Some s)
+    t.sorted_servers;
+  t.servers_by_int <- by_int
 
 let create sim ~disk ~catalog ?(move_config = default_move_config)
     ?cache_config ?(lease_duration = 30.0) ?(delegate_lease = 300.0)
@@ -262,14 +309,27 @@ let create sim ~disk ~catalog ?(move_config = default_move_config)
            let order = Array.init (File_set.Interner.size interner) Fun.id in
            Array.sort (fun a b -> String.compare (name a) (name b)) order;
            order);
-      inflight = Hashtbl.create 1024;
+      clockc = Desim.Sim.time_cell sim;
+      slots =
+        {
+          s_fs = [||];
+          s_op = [||];
+          s_demand = [||];
+          s_arrival = [||];
+          s_path = [||];
+          s_client = [||];
+          s_buf = [||];
+          s_free = [||];
+          s_free_len = 0;
+          s_live = 0;
+        };
+      hazards = Array.make (max 1 (File_set.Interner.size interner)) 0;
       locking =
         (match locking with
         | Some l -> l
         | None -> locking_create ~nfs:(File_set.Interner.size interner));
       lock_stats =
         { granted_immediately = 0; waited = 0; cancelled = 0; leases_expired = 0 };
-      next_tag = 0;
       move_log = [];
       moves_started = 0;
       moves_failed = 0;
@@ -548,11 +608,99 @@ let complete_request t b ~latency =
   | Request.Remove | Request.Rename | Request.Readdir | Request.Set_attr ->
     b.on_complete ~latency
 
+(* --- the in-flight registry --- *)
+
+let is_lock_op = function
+  | Request.Lock_acquire | Request.Lock_release -> true
+  | Request.Open_file | Request.Close_file | Request.Stat | Request.Create
+  | Request.Remove | Request.Rename | Request.Readdir | Request.Set_attr ->
+    false
+
+let grow_slots s =
+  let cap = Array.length s.s_fs in
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let grow a fill =
+    let n = Array.make ncap fill in
+    Array.blit a 0 n 0 cap;
+    n
+  in
+  s.s_fs <- grow s.s_fs 0;
+  s.s_op <- grow s.s_op Request.Stat;
+  s.s_demand <- grow s.s_demand 0.0;
+  s.s_arrival <- grow s.s_arrival 0.0;
+  s.s_path <- grow s.s_path 0;
+  s.s_client <- grow s.s_client 0;
+  s.s_buf <- grow s.s_buf no_buf;
+  s.s_free <- grow s.s_free 0;
+  for i = ncap - 1 downto cap do
+    s.s_free.(s.s_free_len) <- i;
+    s.s_free_len <- s.s_free_len + 1
+  done
+
+(* A slot counts toward [inflight_fs] when its completion can touch the
+   file set's lock domain (a lock operation) or runs a per-request
+   closure (a [buffered] record). *)
+let hazardous s i = s.s_buf.(i) != no_buf || is_lock_op s.s_op.(i)
+
+(* A free slot always holds [no_buf], so a streamed request writes no
+   pointer (and pays no write barrier) into [s_buf]. *)
+let alloc_slot t ~fs ~op ~buf =
+  let s = t.slots in
+  if s.s_free_len = 0 then grow_slots s;
+  s.s_free_len <- s.s_free_len - 1;
+  let i = s.s_free.(s.s_free_len) in
+  s.s_live <- s.s_live + 1;
+  s.s_fs.(i) <- fs;
+  s.s_op.(i) <- op;
+  if buf != no_buf then s.s_buf.(i) <- buf;
+  if hazardous s i then t.hazards.(fs) <- t.hazards.(fs) + 1;
+  i
+
+let free_slot t i =
+  let s = t.slots in
+  if hazardous s i then t.hazards.(s.s_fs.(i)) <- t.hazards.(s.s_fs.(i)) - 1;
+  if s.s_buf.(i) != no_buf then s.s_buf.(i) <- no_buf;
+  s.s_free.(s.s_free_len) <- i;
+  s.s_free_len <- s.s_free_len + 1;
+  s.s_live <- s.s_live - 1
+
+(* What a streamed request's completion does, whichever way it exits:
+   directly from the station sink, after a lock grant, or after a
+   replay behind a move or a crash. *)
+let stream_done t ~fs ~latency =
+  t.completed_n <- t.completed_n + 1;
+  match t.stream_sink with Some k -> k ~fs ~latency | None -> assert false
+
+let stream_record t ~fs ~op ~base_demand ~arrival ~path_hash ~client =
+  {
+    req = { Request.op; file_set = fs_name t fs; path_hash; client };
+    fs;
+    base_demand;
+    arrival;
+    span = Obs.Span.none;
+    bspan = Obs.Span.none;
+    on_complete = (fun ~latency -> stream_done t ~fs ~latency);
+  }
+
+(* The [buffered] record of a live slot: the stored one for a
+   closure-path delivery, rebuilt from the columns for a streamed
+   request. *)
+let record_of_slot t i =
+  let s = t.slots in
+  let b = s.s_buf.(i) in
+  if b != no_buf then b
+  else
+    stream_record t ~fs:s.s_fs.(i) ~op:s.s_op.(i) ~base_demand:s.s_demand.(i)
+      ~arrival:s.s_arrival.(i) ~path_hash:s.s_path.(i) ~client:s.s_client.(i)
+
+let server_at t id =
+  match t.servers_by_int.(Server_id.to_int id) with
+  | Some s -> s
+  | None -> assert false (* owners are always members *)
+
 let deliver t id b =
-  let server = server t id in
-  let tag = t.next_tag in
-  t.next_tag <- tag + 1;
-  Hashtbl.add t.inflight tag b;
+  let server = server_at t id in
+  let tag = alloc_slot t ~fs:b.fs ~op:b.req.Request.op ~buf:b in
   let now = Desim.Sim.now t.sim in
   let extra_latency = now -. b.arrival in
   let sid = Server_id.to_int id in
@@ -593,7 +741,7 @@ let deliver t id b =
   in
   Server.submit server ~fs:b.fs ~base_demand:b.base_demand ~tag ~extra_latency
     ?on_start b.req ~on_complete:(fun ~latency ->
-      Hashtbl.remove t.inflight tag;
+      free_slot t tag;
       (match t.instruments with
       | None -> ()
       | Some i ->
@@ -681,98 +829,66 @@ let submit t ~base_demand req ~on_complete =
 
 (* --- allocation-free streaming submission ---
 
-   Plain operations carry the file-set id itself as the station tag: a
-   completion only needs the set for accounting, so the request costs
-   no closure, no [buffered] record and no [inflight] entry.  Lock
-   operations still need per-request rendezvous state (the waiter
-   tables key on client and path), so they get tags in a disjoint
-   range ([>= lock_base]) that the sink routes through [inflight] and
-   [complete_request] — identical semantics to the closure path.
-   Requests arriving for a set that is mid-move buffer a full
-   [buffered] record, so move replay uses the ordinary [deliver] path
-   unchanged (demand is computed at drain time against the
-   destination's cold cache, exactly as the closure path does). *)
+   A streamed request delivered to its owner takes a registry slot and
+   no closure: the slot is its station tag, and the station sink frees
+   the slot, then records a plain operation at once or hands a lock
+   operation (rebuilt as a [buffered] record) to [complete_request] —
+   the closure path's semantics exactly.  Requests arriving for a set
+   that is mid-move or orphaned buffer a full [buffered] record, so
+   move and crash replay use the ordinary [deliver] path unchanged
+   (demand is computed at drain time against the destination's cold
+   cache, exactly as the closure path does). *)
 
-let lock_base = 1 lsl 30
+let stream_complete t ~tag ~latency =
+  (match t.instruments with
+  | None -> ()
+  | Some i ->
+    Obs.Metrics.Counter.incr i.completed_ctr;
+    Obs.Metrics.Histogram.observe i.latency latency);
+  let s = t.slots in
+  if is_lock_op s.s_op.(tag) then begin
+    let b = record_of_slot t tag in
+    free_slot t tag;
+    complete_request t b ~latency
+  end
+  else begin
+    let fs = s.s_fs.(tag) in
+    free_slot t tag;
+    stream_done t ~fs ~latency
+  end
 
-let is_lock_op = function
-  | Request.Lock_acquire | Request.Lock_release -> true
-  | Request.Open_file | Request.Close_file | Request.Stat | Request.Create
-  | Request.Remove | Request.Rename | Request.Readdir | Request.Set_attr ->
-    false
+let install_sink t s =
+  Server.set_stream_sink s (fun ~tag ~latency ->
+      stream_complete t ~tag ~latency)
 
 let set_stream_sink t k =
   t.stream_sink <- Some k;
-  let max_id =
-    List.fold_left
-      (fun m s -> max m (Server_id.to_int (Server.id s)))
-      0 t.sorted_servers
-  in
-  let by_int = Array.make (max_id + 1) None in
-  List.iter
-    (fun s -> by_int.(Server_id.to_int (Server.id s)) <- Some s)
-    t.sorted_servers;
-  t.servers_by_int <- by_int;
-  List.iter
-    (fun s ->
-      Server.set_stream_sink s (fun ~tag ~latency ->
-          if tag < lock_base then begin
-            t.completed_n <- t.completed_n + 1;
-            k ~fs:tag ~latency
-          end
-          else
-            match Hashtbl.find_opt t.inflight tag with
-            | Some b ->
-              Hashtbl.remove t.inflight tag;
-              complete_request t b ~latency
-            | None -> assert false))
-    t.sorted_servers
-
-let stream_server_exn t id =
-  match t.servers_by_int.(Server_id.to_int id) with
-  | Some s -> s
-  | None -> assert false (* set_stream_sink built the table *)
+  List.iter (install_sink t) t.sorted_servers
 
 let submit_stream t ~fs ~op ~base_demand ~path_hash ~client =
+  if t.stream_sink == None then
+    failwith "Cluster.submit_stream: set_stream_sink first";
   t.submitted_n <- t.submitted_n + 1;
+  (match t.instruments with
+  | None -> ()
+  | Some i -> Obs.Metrics.Counter.incr i.submitted);
   match t.ownership.(fs) with
-  | Owned id when not (is_lock_op op) ->
-    Server.submit_stream (stream_server_exn t id) ~fs ~op ~base_demand ~tag:fs
-  | o -> (
-    (* Lock operations and sets caught mid-move take the slow path: a
-       full [buffered] record whose completion feeds the sink. *)
-    let k =
-      match t.stream_sink with
-      | Some k -> k
-      | None -> failwith "Cluster.submit_stream: set_stream_sink first"
-    in
-    let on_complete ~latency =
-      t.completed_n <- t.completed_n + 1;
-      k ~fs ~latency
-    in
-    let req = { Request.op; file_set = fs_name t fs; path_hash; client } in
-    let b =
-      {
-        req;
-        fs;
-        base_demand;
-        arrival = Desim.Sim.now t.sim;
-        span = Obs.Span.none;
-        bspan = Obs.Span.none;
-        on_complete;
-      }
-    in
-    match o with
-    | Owned id ->
-      let tag = lock_base + t.next_tag in
-      t.next_tag <- t.next_tag + 1;
-      Hashtbl.add t.inflight tag b;
-      Server.submit_stream (stream_server_exn t id) ~fs ~op ~base_demand ~tag
-    | Moving { pending; _ } -> Queue.add b pending
-    | Orphaned pending -> Queue.add b pending
-    | Unassigned ->
-      failwith
-        ("Cluster.submit_stream: file set never assigned: " ^ fs_name t fs))
+  | Owned id ->
+    let tag = alloc_slot t ~fs ~op ~buf:no_buf in
+    let s = t.slots in
+    s.s_demand.(tag) <- base_demand;
+    s.s_arrival.(tag) <- t.clockc.(0);
+    s.s_path.(tag) <- path_hash;
+    s.s_client.(tag) <- client;
+    Server.submit_stream (server_at t id) ~fs ~op ~base_demand ~tag
+  | Moving { pending; _ } | Orphaned pending ->
+    Queue.add
+      (stream_record t ~fs ~op ~base_demand ~arrival:t.clockc.(0) ~path_hash
+         ~client)
+      pending
+  | Unassigned ->
+    failwith
+      ("Cluster.submit_stream: file set never assigned: " ^ fs_name t fs)
 
 let init_seconds t fs =
   let entry = File_set.Catalog.nth t.catalog fs in
@@ -1024,8 +1140,7 @@ let migrate_lease_timers ~src ~dst ~fs =
    domain from this shard, concurrently with the new owner — the
    engine detects that hazard here and falls back to lockstep until
    the residue drains. *)
-let inflight_fs t ~fs =
-  Hashtbl.fold (fun _ b acc -> if b.fs = fs then acc + 1 else acc) t.inflight 0
+let inflight_fs t ~fs = t.hazards.(fs)
 
 (* The common half of crash and partition handling: the server stops
    serving, its sets are orphaned (journaled), its in-flight moves die,
@@ -1038,10 +1153,10 @@ let take_down t id =
     let now = Desim.Sim.now t.sim in
     let interrupted_tags = Server.fail failed_server in
     let interrupted =
-      List.filter_map
+      List.map
         (fun tag ->
-          let b = Hashtbl.find_opt t.inflight tag in
-          Hashtbl.remove t.inflight tag;
+          let b = record_of_slot t tag in
+          free_slot t tag;
           b)
         interrupted_tags
       |> List.sort (fun (a : buffered) (b : buffered) ->
@@ -1329,7 +1444,8 @@ let add_server t id ~speed =
       ~series_interval:t.series_interval ~obs:t.obs ()
   in
   Hashtbl.add t.servers id server;
-  rebuild_sorted_servers t
+  rebuild_sorted_servers t;
+  if Option.is_some t.stream_sink then install_sink t server
 
 let ledger t = t.ledger
 
@@ -1387,7 +1503,7 @@ let conservation t =
   {
     submitted = t.submitted_n;
     completed = t.completed_n;
-    inflight = Hashtbl.length t.inflight;
+    inflight = t.slots.s_live;
     buffered = pending_requests t;
     lock_waiting =
       Array.fold_left

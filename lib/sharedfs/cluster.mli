@@ -209,11 +209,10 @@ val submit_fs :
   unit
 
 (** [set_stream_sink t k] installs the completion sink for
-    {!submit_stream} and builds the dense server lookup the streaming
-    path uses.  Call after {!assign_initial} (membership changes after
-    installation are not supported on the streaming path).  [k] fires
-    once per completed request with the request's interned file-set id
-    and its full latency (including lock waits and move buffering). *)
+    {!submit_stream} on every server, and on every server {!add_server}
+    adds later.  [k] fires once per completed request with the
+    request's interned file-set id and its full latency (including lock
+    waits, move buffering and crash replay). *)
 val set_stream_sink : t -> (fs:int -> latency:float -> unit) -> unit
 
 (** [submit_stream t ~fs ~op ~base_demand ~path_hash ~client] is the
@@ -221,9 +220,10 @@ val set_stream_sink : t -> (fs:int -> latency:float -> unit) -> unit
     completion closure — completion is reported to the sink installed
     with {!set_stream_sink}.  Semantics match {!submit_fs} exactly:
     lock operations pass through the lock service (with deferred
-    grants included in latency), and requests for a set in transit
-    buffer until the move completes.  Requires a fault-free run:
-    streamed requests are not recoverable by {!fail_server}. *)
+    grants included in latency), requests for a set in transit buffer
+    until the move completes, a crash or partition re-buffers the
+    interrupted ones, and the cluster's metric instruments count them.
+    Only tracing spans and telemetry need {!submit_fs}. *)
 val submit_stream :
   t ->
   fs:int ->
@@ -284,8 +284,10 @@ val move_in :
 val migrate_lease_timers : src:t -> dst:t -> fs:int -> unit
 
 (** [inflight_fs t ~fs] counts requests of [fs] delivered to this
-    shard's servers and not yet completed — the engine's handover
-    hazard detector. *)
+    shard's servers and not yet completed whose completion runs more
+    than the sink: lock operations, and requests delivered with a
+    completion closure (replays after a move or a crash included) — the
+    engine's handover hazard detector. *)
 val inflight_fs : t -> fs:int -> int
 
 (** [fail_server t id] crashes a server: interrupted and queued

@@ -67,19 +67,22 @@ let observe t ~latency =
     Obs.Metrics.Gauge.set i.queue_depth
       (float_of_int (Desim.Station.queue_length t.station))
 
-(* Allocation-free submission: same demand formula as [submit], but no
-   per-request completion closure — the job's completion is reported to
-   the station sink installed by [set_stream_sink], identified by
-   [tag].  The cluster uses the file-set id as the tag for plain
-   requests (a completion only needs the set for accounting) and a
-   disjoint tag range for lock operations that must rendezvous with
-   per-request state. *)
+(* Allocation-free submission: same demand formula and queue-depth
+   gauge as [submit], but no per-request completion closure — the
+   job's completion is reported to the station sink installed by
+   [set_stream_sink], identified by [tag] (the cluster's in-flight
+   registry slot). *)
 let submit_stream t ~fs ~op ~base_demand ~tag =
   let multiplier =
     Cache.access t.cache ~fs ~dirties:(Request.dirties_cache op)
   in
   let demand = base_demand *. Request.demand_factor op *. multiplier in
-  Desim.Station.submit_tagged t.station ~demand ~tag
+  Desim.Station.submit_tagged t.station ~demand ~tag;
+  match t.instruments with
+  | None -> ()
+  | Some i ->
+    Obs.Metrics.Gauge.set i.queue_depth
+      (float_of_int (Desim.Station.queue_length t.station))
 
 (* The sink observes first (exactly where the legacy closure observed)
    and then hands the completion to the cluster's dispatcher. *)

@@ -67,8 +67,8 @@ val submit :
     counterpart of {!submit}: the same demand formula (operation factor
     times cache multiplier), but no per-request closure — completion is
     reported to the sink installed with {!set_stream_sink}, identified
-    by [tag].  No [extra_latency], no [on_start], no per-request
-    instruments update: callers gate on those features being off. *)
+    by [tag].  No [extra_latency] and no [on_start]: callers gate on
+    those features being off. *)
 val submit_stream :
   t -> fs:int -> op:Request.op -> base_demand:float -> tag:int -> unit
 

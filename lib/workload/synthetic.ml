@@ -59,27 +59,36 @@ let stream config =
     raw;
   let pick_file_set u =
     (* Binary search for the first cumulative >= u. *)
-    let rec go lo hi =
-      if lo >= hi then lo
-      else begin
-        let mid = (lo + hi) / 2 in
-        if cumulative.(mid) < u then go (mid + 1) hi else go lo mid
-      end
-    in
-    go 0 (config.file_sets - 1)
+    let lo = ref 0 and hi = ref (config.file_sets - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cumulative.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    !lo
   in
   let names = Array.init config.file_sets name_of in
+  (* The sorted arrival walk ([Stream.sorted_uniforms]) is inlined so
+     its state lives in a float cell instead of a boxed ref. *)
   let fresh () =
     let rng = Desim.Rng.create (config.seed + 1) in
-    let next_time =
-      Stream.sorted_uniforms rng ~n:config.requests ~lo:0.0 ~hi:config.duration
-    in
     let emitted = ref 0 in
+    let vcell = [| 0.0 |] in
     fun () ->
-      if !emitted >= config.requests then None
+      let k = !emitted in
+      if k >= config.requests then None
       else begin
-        incr emitted;
-        let time = next_time () in
+        emitted := k + 1;
+        (* Conditional law of the next order statistic: the minimum of
+           the [requests - k] uniforms still to come on [v, duration]. *)
+        let u = Desim.Rng.float rng in
+        let remaining = config.requests - k in
+        let v0 = vcell.(0) in
+        let time =
+          v0
+          +. (config.duration -. v0)
+             *. (1.0 -. ((1.0 -. u) ** (1.0 /. float_of_int remaining)))
+        in
+        vcell.(0) <- time;
         let fs = pick_file_set (Desim.Rng.float rng) in
         let op = Trace.sample_op rng in
         let demand =

@@ -191,6 +191,136 @@ let prop_quantile_in_range =
       let est = Stat.Quantile.percentile q p in
       Stat.Quantile.min_value q <= est && est <= Stat.Quantile.max_value q)
 
+(* The sketch as it was before its bins went lazy: bins allocated at
+   creation, and merging pairwise into fresh sketches, the way per-set
+   latency sketches used to be folded. *)
+module Eager_quantile = struct
+  type t = {
+    log_lo : float;
+    log_ratio : float;
+    bins : int array;
+    mutable underflow : int;
+    mutable overflow : int;
+    mutable count : int;
+    mutable min_seen : float;
+    mutable max_seen : float;
+  }
+
+  let lo = 1e-6
+
+  let create () =
+    {
+      log_lo = Float.log lo;
+      log_ratio = Float.log 1.02;
+      bins = Array.make 1400 0;
+      underflow = 0;
+      overflow = 0;
+      count = 0;
+      min_seen = Float.infinity;
+      max_seen = Float.neg_infinity;
+    }
+
+  let add t x =
+    t.count <- t.count + 1;
+    if x < t.min_seen then t.min_seen <- x;
+    if x > t.max_seen then t.max_seen <- x;
+    if x < lo then t.underflow <- t.underflow + 1
+    else begin
+      let idx = int_of_float ((Float.log x -. t.log_lo) /. t.log_ratio) in
+      if idx >= Array.length t.bins then t.overflow <- t.overflow + 1
+      else t.bins.(idx) <- t.bins.(idx) + 1
+    end
+
+  let merge a b =
+    {
+      a with
+      bins =
+        Array.init (Array.length a.bins) (fun i -> a.bins.(i) + b.bins.(i));
+      underflow = a.underflow + b.underflow;
+      overflow = a.overflow + b.overflow;
+      count = a.count + b.count;
+      min_seen = Float.min a.min_seen b.min_seen;
+      max_seen = Float.max a.max_seen b.max_seen;
+    }
+
+  let percentile t p =
+    let rank =
+      Stdlib.max 1
+        (int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.count)))
+    in
+    if rank <= t.underflow then t.min_seen
+    else begin
+      let cum = ref t.underflow and result = ref None in
+      Array.iteri
+        (fun i c ->
+          cum := !cum + c;
+          if !result = None && !cum >= rank then
+            let mid =
+              Float.exp (t.log_lo +. ((float_of_int i +. 0.5) *. t.log_ratio))
+            in
+            result := Some (Float.min t.max_seen (Float.max t.min_seen mid)))
+        t.bins;
+      Option.value ~default:t.max_seen !result
+    end
+end
+
+(* Below [lo] (underflow), inside the bins, and past the last bin
+   (overflow): every branch of [add]. *)
+let gen_latency =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun x -> -.x) (float_bound_inclusive 1.0));
+        (1, float_bound_exclusive 1e-6);
+        (6, map (fun x -> 1e-6 +. x) (float_bound_exclusive 1000.0));
+        (1, map (fun x -> 2e6 +. x) (float_bound_exclusive 1e9));
+      ])
+
+let prop_lazy_quantile_matches_eager =
+  QCheck.Test.make ~count:300
+    ~name:"lazy quantile bins and merge_into equal the eager sketch"
+    (QCheck.make
+       ~print:QCheck.Print.(list (list float))
+       QCheck.Gen.(list_size (1 -- 6) (list_size (0 -- 40) gen_latency)))
+    (fun sets ->
+      let same_bits a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      let agrees lz eg =
+        Stat.Quantile.count lz = eg.Eager_quantile.count
+        && same_bits (Stat.Quantile.min_value lz) eg.Eager_quantile.min_seen
+        && same_bits (Stat.Quantile.max_value lz) eg.Eager_quantile.max_seen
+        && (eg.Eager_quantile.count = 0
+           || List.for_all
+                (fun p ->
+                  same_bits
+                    (Stat.Quantile.percentile lz p)
+                    (Eager_quantile.percentile eg p))
+                [ 0.0; 1.0; 10.0; 50.0; 90.0; 95.0; 99.0; 100.0 ])
+      in
+      let lazies =
+        List.map
+          (fun vs ->
+            let q = Stat.Quantile.create () in
+            List.iter (Stat.Quantile.add q) vs;
+            q)
+          sets
+      in
+      let eagers =
+        List.map
+          (fun vs ->
+            let q = Eager_quantile.create () in
+            List.iter (Eager_quantile.add q) vs;
+            q)
+          sets
+      in
+      let merged = Stat.Quantile.create () in
+      List.iter (Stat.Quantile.merge_into ~into:merged) lazies;
+      let eager_merged =
+        List.fold_left Eager_quantile.merge (List.hd eagers) (List.tl eagers)
+      in
+      List.for_all2 agrees lazies eagers && agrees merged eager_merged)
+
 let prop_percentile_monotone =
   QCheck.Test.make ~count:200 ~name:"percentile is monotone in p"
     QCheck.(
@@ -242,6 +372,7 @@ let suite =
     Alcotest.test_case "median_of" `Quick test_median_of;
     Alcotest.test_case "cv and imbalance" `Quick test_cv_and_imbalance;
     QCheck_alcotest.to_alcotest prop_quantile_in_range;
+    QCheck_alcotest.to_alcotest prop_lazy_quantile_matches_eager;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_welford_merge_commutes;
   ]
